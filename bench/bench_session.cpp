@@ -181,7 +181,7 @@ bool run_ksource(bench::JsonReport& report, const Instance& inst, int k) {
 /// (b) MST -> min-cut -> SSSP pipeline: one session vs per-call cold runs.
 bool run_pipeline(bench::JsonReport& report, const Instance& inst) {
   const VertexId n = inst.graph.num_vertices();
-  congest::Session::WorkloadParams params;
+  congest::WorkloadParams params;
   params.weights = inst.weights;
   params.num_trees = 6;
   params.epsilon = 0.25;
@@ -252,7 +252,7 @@ bool run_pipeline(bench::JsonReport& report, const Instance& inst) {
 /// the restored solves to be bit-identical with zero construction charges.
 bool run_restore(bench::JsonReport& report, const Instance& inst) {
   const VertexId n = inst.graph.num_vertices();
-  congest::Session::WorkloadParams params;
+  congest::WorkloadParams params;
   params.weights = inst.weights;
   params.epsilon = 0.25;
   params.num_seeds = std::max<VertexId>(

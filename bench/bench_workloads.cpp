@@ -81,8 +81,8 @@ std::vector<Instance> instances(bool smoke) {
   return out;
 }
 
-congest::Session::WorkloadParams params_for(const Instance& inst) {
-  congest::Session::WorkloadParams p;
+congest::WorkloadParams params_for(const Instance& inst) {
+  congest::WorkloadParams p;
   p.weights = inst.weights;
   p.epsilon = 0.25;
   const VertexId n = inst.graph.num_vertices();
@@ -150,7 +150,7 @@ bool run_domset(bench::JsonReport& report, const Instance& inst) {
 /// bit-identical to the default partition source.
 bool run_ldd_source(bench::JsonReport& report, const Instance& inst) {
   const VertexId n = inst.graph.num_vertices();
-  const congest::Session::WorkloadParams params = params_for(inst);
+  const congest::WorkloadParams params = params_for(inst);
   congest::SolveOptions ldd_opt;
   ldd_opt.partition = congest::PartitionSource::kLdd;
 

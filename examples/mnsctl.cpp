@@ -112,9 +112,9 @@ baseline strips the nondeterministic fields from a BENCH_*.json, producing
          a committable baseline (rounds/messages only survive).
 )";
 
-/// One space-separated line of the registered workload names, derived from
-/// the registry itself (congest::builtin_workload_names()) so the usage text
-/// can never go stale against the Session catalogue.
+/// One space-separated line of the catalogue's workload names
+/// (congest::builtin_workload_names(), read off the catalogue table) so the
+/// usage text can never go stale against what solve accepts.
 std::string workload_catalogue() {
   std::string out;
   for (const std::string& name : congest::builtin_workload_names()) {
@@ -331,9 +331,9 @@ io::Snapshot gen_instance(const std::string& family, long long size,
 /// The deterministic parameter set every mnsctl run (and the bench rows it
 /// is diffed against) uses: source-independent Voronoi cells so a warmed
 /// snapshot's partitions are the ones a later solve asks for.
-congest::Session::WorkloadParams default_params(const Graph& g,
-                                                std::vector<Weight> weights) {
-  congest::Session::WorkloadParams p;
+congest::WorkloadParams default_params(const Graph& g,
+                                       std::vector<Weight> weights) {
+  congest::WorkloadParams p;
   p.weights = std::move(weights);
   p.num_trees = 6;
   p.epsilon = 0.25;
@@ -370,8 +370,7 @@ int cmd_build(const Args& args) {
   io::Snapshot snap = io::read_snapshot(path);
   std::vector<Weight> weights = snap.weights;
   congest::Session session = congest::Session::restore(std::move(snap));
-  congest::Session::WorkloadParams params =
-      default_params(session.graph(), weights);
+  congest::WorkloadParams params = default_params(session.graph(), weights);
   congest::SolveOptions opt;
   opt.threads = args.threads;
   congest::RunReport report = session.solve(workload, params, opt);
@@ -519,7 +518,7 @@ int cmd_solve(const Args& args) {
   io::Snapshot snap = io::read_snapshot(args.positional[0]);
   std::vector<Weight> weights = snap.weights;
   congest::Session session = congest::Session::restore(std::move(snap));
-  congest::Session::WorkloadParams params =
+  congest::WorkloadParams params =
       default_params(session.graph(), std::move(weights));
   congest::SolveOptions opt;
   opt.threads = args.threads;
@@ -572,8 +571,7 @@ int cmd_serve(const Args& args) {
   serve::QueryServer server(core, cfg);
 
   const Graph& g = server.core().graph();
-  congest::Session::WorkloadParams params =
-      default_params(g, std::move(weights));
+  congest::WorkloadParams params = default_params(g, std::move(weights));
   std::vector<serve::Request> batch;
   batch.reserve(static_cast<std::size_t>(args.requests));
   const VertexId stride =
@@ -717,7 +715,7 @@ int run_dist_rank(const Args& args, const std::string& workload, int rank,
       return 2;
     }
 
-  congest::Session::WorkloadParams params =
+  congest::WorkloadParams params =
       default_params(session.graph(), std::move(weights));
   congest::SolveOptions opt;
   opt.threads = args.threads;

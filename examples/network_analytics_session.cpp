@@ -42,7 +42,7 @@ int main() {
 
   congest::Session session(g, apex_certificate(net.apices));
   std::printf("registered workloads:");
-  for (const std::string& name : session.workload_names())
+  for (const std::string& name : congest::builtin_workload_names())
     std::printf(" %s", name.c_str());
   std::printf("\n\n");
   std::printf("%-14s %10s %10s %9s %7s %11s  %s\n", "workload", "rounds",
@@ -60,7 +60,7 @@ int main() {
                 verified ? "verified" : "MISMATCH");
   };
 
-  congest::Session::WorkloadParams params;
+  congest::WorkloadParams params;
   params.weights = toll;
 
   // 1. MST vs Kruskal.

@@ -24,34 +24,27 @@ Session::Session(Graph g, StructuralCertificate certificate,
     : core_(std::make_shared<const SolverCore>(
           std::move(g), std::move(certificate), core_config(config))),
       execution_(config.execution),
-      handle_(std::make_unique<SolveHandle>(core_, execution_)) {
-  register_builtin_workloads();
-}
+      handle_(std::make_unique<SolveHandle>(core_, execution_)) {}
 
 Session::Session(std::shared_ptr<const SolverCore> core, SessionConfig config)
     : core_(std::move(core)),
       execution_(config.execution),
-      handle_(std::make_unique<SolveHandle>(core_, execution_)) {
-  register_builtin_workloads();
-}
+      handle_(std::make_unique<SolveHandle>(core_, execution_)) {}
 
-void Session::swap_core(StructuralCertificate cert, TreeFactory tree) {
-  CoreConfig cc;
-  cc.tree = std::move(tree);
-  cc.engine = &core_->engine();
-  cc.cache_capacity = core_->cache_capacity();
-  core_ = std::make_shared<const SolverCore>(core_->graph_ptr(),
-                                             std::move(cert), std::move(cc));
+void Session::swap_core(StructuralCertificate cert, CoreConfig config) {
+  core_ = std::make_shared<const SolverCore>(
+      core_->graph_ptr(), std::move(cert), std::move(config));
   handle_->rebind(core_);
 }
 
 void Session::set_certificate(StructuralCertificate cert) {
-  swap_core(std::move(cert), core_->tree_factory());
+  swap_core(std::move(cert), core_->config());
 }
 
 void Session::set_tree_factory(TreeFactory tree) {
-  swap_core(core_->certificate(),
-            tree ? std::move(tree) : center_tree_factory());
+  CoreConfig config = core_->config();
+  config.tree = std::move(tree);
+  swap_core(core_->certificate(), std::move(config));
 }
 
 // ------------------------------------------------ persistence (DESIGN.md §8)
@@ -123,80 +116,6 @@ Session Session::restore(io::Snapshot snapshot, SessionConfig config) {
 
 Session Session::restore(const std::string& path, SessionConfig config) {
   return restore(io::read_snapshot(path), std::move(config));
-}
-
-// ---------------------------------------------------------------- registry
-
-void Session::register_workload(std::string name, WorkloadFn fn) {
-  require(!name.empty(), "Session: empty workload name");
-  require(static_cast<bool>(fn), "Session: null workload");
-  auto [it, inserted] = workloads_.emplace(std::move(name), std::move(fn));
-  if (!inserted)
-    throw InvariantViolation("Session: duplicate workload '" + it->first +
-                             "'");
-}
-
-bool Session::has_workload(std::string_view name) const {
-  return workloads_.find(name) != workloads_.end();
-}
-
-std::vector<std::string> Session::workload_names() const {
-  std::vector<std::string> names;
-  names.reserve(workloads_.size());
-  for (const auto& [name, fn] : workloads_) names.push_back(name);
-  return names;
-}
-
-RunReport Session::solve(std::string_view workload,
-                         const WorkloadParams& params,
-                         const SolveOptions& opt) {
-  auto it = workloads_.find(workload);
-  if (it == workloads_.end())
-    throw InvariantViolation("Session: unknown workload '" +
-                             std::string(workload) + "'");
-  RunReport r = it->second(*this, params, opt);
-  r.workload = std::string(workload);
-  return r;
-}
-
-void Session::register_builtin_workloads() {
-  register_workload("mst", [](Session& s, const WorkloadParams& p,
-                              const SolveOptions& o) {
-    return s.solve(Mst{p.weights, p.stop_at_fragment_size}, o);
-  });
-  register_workload("mst.ghs", [](Session& s, const WorkloadParams& p,
-                                  const SolveOptions& o) {
-    return s.solve(GhsMst{p.weights}, o);
-  });
-  register_workload("mincut", [](Session& s, const WorkloadParams& p,
-                                 const SolveOptions& o) {
-    return s.solve(MinCut{p.weights, p.num_trees, p.two_respecting}, o);
-  });
-  register_workload("sssp.exact", [](Session& s, const WorkloadParams& p,
-                                     const SolveOptions& o) {
-    return s.solve(ExactSssp{p.weights, p.source}, o);
-  });
-  register_workload("sssp.approx", [](Session& s, const WorkloadParams& p,
-                                      const SolveOptions& o) {
-    return s.solve(
-        ApproxSssp{p.weights, p.source, p.epsilon, p.num_seeds,
-                   p.bf_rounds_per_cycle, p.repartition_growth,
-                   p.voronoi_hop_cap, p.wavefront_seeds},
-        o);
-  });
-  register_workload("bfs", [](Session& s, const WorkloadParams& p,
-                              const SolveOptions& o) {
-    return s.solve(Bfs{p.source}, o);
-  });
-  register_workload("mis", [](Session& s, const WorkloadParams& p,
-                              const SolveOptions& o) {
-    return s.solve(Mis{p.seed}, o);
-  });
-  register_workload("domset", [](Session& s, const WorkloadParams& p,
-                                 const SolveOptions& o) {
-    (void)p;  // span greedy has no parameter knobs
-    return s.solve(DominatingSet{}, o);
-  });
 }
 
 }  // namespace mns::congest

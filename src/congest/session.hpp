@@ -10,6 +10,7 @@
 //   RunReport mst  = s.solve(Mst{weights});
 //   RunReport cut  = s.solve(MinCut{weights, /*num_trees=*/12});
 //   RunReport path = s.solve(ApproxSssp{weights, depot});
+//   RunReport same = s.solve("sssp.approx", params);  // by catalogue name
 //
 // Repeated queries — Boruvka phases that revisit a partition, k-source SSSP
 // batches, an MST -> min-cut -> SSSP pipeline on the same network — stop
@@ -26,10 +27,12 @@
 //                                  behind a read-mostly concurrency discipline
 //   SolveHandle (solve_handle.hpp) the cheap per-request half: Simulator,
 //                                  arenas, execution policy, per-request
-//                                  cache accounting, workload registry
+//                                  cache accounting, by-name dispatch
 //
 // One Session = one core + one default handle, single-threaded semantics
-// preserved exactly. Code that wants concurrent queries over one warm core
+// preserved exactly. Every solve, typed or by name, forwards to that handle,
+// so a Session keeps no workload list of its own (the catalogue lives in
+// solve_handle.cpp). Code that wants concurrent queries over one warm core
 // shares the Session's core_ptr() across many SolveHandles — or uses
 // serve::QueryServer (src/serve/query_server.hpp), which does that fan-out
 // over a WorkerPool.
@@ -75,10 +78,6 @@ struct SessionConfig {
 
 class Session {
  public:
-  /// Parameter bundle for string dispatch (historically nested here; now the
-  /// namespace-scope congest::WorkloadParams shared with SolveHandle).
-  using WorkloadParams = ::mns::congest::WorkloadParams;
-
   /// Takes ownership of the network. The certificate is the session's
   /// structural knowledge; every shortcut dispatches through it.
   explicit Session(Graph g,
@@ -141,55 +140,22 @@ class Session {
                      std::vector<Weight>* weights = nullptr);
 
   // -- the uniform solve surface (delegates to the default handle) --
-  [[nodiscard]] RunReport solve(const Mst& q, const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const GhsMst& q, const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const MinCut& q, const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const ExactSssp& q,
-                                const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const ApproxSssp& q,
-                                const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const Bfs& q, const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const Mis& q, const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const DominatingSet& q,
-                                const SolveOptions& opt = {}) {
-    return handle_->solve(q, opt);
-  }
-  [[nodiscard]] RunReport solve(const Aggregate& q,
+
+  /// Every typed request SolveHandle solves (Mst, MinCut, ApproxSssp, ...).
+  template <typename Request>
+    requires requires(SolveHandle& h, const Request& q) { h.solve(q); }
+  [[nodiscard]] RunReport solve(const Request& q,
                                 const SolveOptions& opt = {}) {
     return handle_->solve(q, opt);
   }
 
-  // -- the name-keyed workload registry (mirrors ShortcutEngine's builders) --
-
-  /// Runs the named workload (builtin_workload_names(): "bfs", "domset",
-  /// "mincut", "mis", "mst", "mst.ghs", "sssp.approx", "sssp.exact").
-  /// Throws InvariantViolation naming the offender on unknown names.
+  /// Runs the named workload (builtin_workload_names()). Throws
+  /// InvariantViolation naming the offender on unknown names.
   [[nodiscard]] RunReport solve(std::string_view workload,
                                 const WorkloadParams& params,
-                                const SolveOptions& opt = {});
-
-  using WorkloadFn = std::function<RunReport(Session&, const WorkloadParams&,
-                                             const SolveOptions&)>;
-  /// Registers a strategy. Throws InvariantViolation on empty or duplicate
-  /// names.
-  void register_workload(std::string name, WorkloadFn fn);
-  [[nodiscard]] bool has_workload(std::string_view name) const;
-  /// Sorted registry names.
-  [[nodiscard]] std::vector<std::string> workload_names() const;
+                                const SolveOptions& opt = {}) {
+    return handle_->solve(workload, params, opt);
+  }
 
   // -- owned state --
   [[nodiscard]] const Graph& graph() const noexcept { return core_->graph(); }
@@ -244,11 +210,11 @@ class Session {
   void clear_cache() { core_->clear_cache(); }
 
  private:
-  void register_builtin_workloads();
   /// set_certificate/set_tree_factory: swap structural knowledge by building
   /// a NEW core over the SAME graph object and rebinding the handle (the
-  /// old epoch-bump-and-flush, expressed as core replacement).
-  void swap_core(StructuralCertificate cert, TreeFactory tree);
+  /// old epoch-bump-and-flush, expressed as core replacement). `config` is
+  /// the current core's, with at most the tree factory replaced.
+  void swap_core(StructuralCertificate cert, CoreConfig config);
 
   std::shared_ptr<const SolverCore> core_;
   /// The per-solve execution policy, kept so update() can recreate the
@@ -257,7 +223,6 @@ class Session {
   /// unique_ptr (not a member object): a structural update() replaces the
   /// graph, and SolveHandle::rebind only accepts same-graph swaps.
   std::unique_ptr<SolveHandle> handle_;
-  std::map<std::string, WorkloadFn, std::less<>> workloads_;
 };
 
 }  // namespace mns::congest

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <iterator>
 #include <utility>
 
 #include "congest/dominating_set.hpp"
@@ -95,9 +96,7 @@ SolveHandle::SolveHandle(std::shared_ptr<const SolverCore> core,
     : core_((require(core != nullptr, "SolveHandle: null core"),
              std::move(core))),
       default_execution_(execution),
-      sim_(core_->graph(), execution) {
-  register_builtin_workloads();
-}
+      sim_(core_->graph(), execution) {}
 
 void SolveHandle::rebind(std::shared_ptr<const SolverCore> core) {
   require(core != nullptr, "SolveHandle: null core");
@@ -111,44 +110,25 @@ void SolveHandle::rebind(std::shared_ptr<const SolverCore> core) {
 
 ShortcutSource SolveHandle::make_source(const SolveOptions& opt) {
   if (!opt.use_shortcuts) return empty_shortcut_source();
-  if (opt.partition == PartitionSource::kLdd) {
-    // LDD provenance: every request resolves to the SAME cache entry (the
-    // core LDD's shortcut), projected locally onto whatever partition the
-    // workload aggregates over. Only the underlying construction is ever
-    // charged — the projection is local bookkeeping, not communication.
-    return [this, use_cache = opt.use_cache,
-            charge = opt.charge_construction](const Graph& g,
-                                              const Partition& parts) {
-      require(&g == &core_->graph(),
-              "SolveHandle: shortcut requested for foreign graph");
-      const LddDecomposition& ldd = core_->ldd();
-      SolverCore::Acquired a = core_->acquire(ldd.parts, use_cache);
-      if (a.hit)
-        ++hits_;
-      else
-        ++misses_;
-      evictions_ += static_cast<long long>(a.evictions);
-      SourcedShortcut s{
-          project_ldd_shortcut(std::move(a.shortcut), ldd.parts, parts),
-          a.fresh};
-      if (!charge) s.fresh = false;
-      return s;
-    };
-  }
+  // Under LDD provenance every request resolves to the SAME cache entry (the
+  // core LDD's shortcut), projected locally onto whatever partition the
+  // workload aggregates over. Only the underlying construction is ever
+  // charged — the projection is local bookkeeping, not communication.
   return [this, use_cache = opt.use_cache,
-          charge = opt.charge_construction](const Graph& g,
-                                            const Partition& parts) {
+          ldd = opt.partition == PartitionSource::kLdd](
+             const Graph& g, const Partition& parts) {
     require(&g == &core_->graph(),
             "SolveHandle: shortcut requested for foreign graph");
-    SolverCore::Acquired a = core_->acquire(parts, use_cache);
+    const Partition& built = ldd ? core_->ldd().parts : parts;
+    SolverCore::Acquired a = core_->acquire(built, use_cache);
     if (a.hit)
       ++hits_;
     else
       ++misses_;
     evictions_ += static_cast<long long>(a.evictions);
-    SourcedShortcut s{std::move(a.shortcut), a.fresh};
-    if (!charge) s.fresh = false;  // ablation: never charge construction
-    return s;
+    if (ldd)
+      a.shortcut = project_ldd_shortcut(std::move(a.shortcut), built, parts);
+    return SourcedShortcut{std::move(a.shortcut), a.fresh};
   };
 }
 
@@ -302,84 +282,77 @@ RunReport SolveHandle::solve(const Aggregate& q, const SolveOptions& opt) {
   });
 }
 
-// ---------------------------------------------------------------- registry
+// --------------------------------------------------------------- catalogue
 
-void SolveHandle::register_workload(std::string name, WorkloadFn fn) {
-  require(!name.empty(), "SolveHandle: empty workload name");
-  require(static_cast<bool>(fn), "SolveHandle: null workload");
-  auto [it, inserted] = workloads_.emplace(std::move(name), std::move(fn));
-  if (!inserted)
-    throw InvariantViolation("SolveHandle: duplicate workload '" + it->first +
-                             "'");
-}
+namespace {
 
-bool SolveHandle::has_workload(std::string_view name) const {
-  return workloads_.find(name) != workloads_.end();
-}
+/// One by-name workload: maps the parameter bundle onto the typed request
+/// and runs the typed solve, which names the RunReport.
+struct CatalogueRow {
+  std::string_view name;
+  RunReport (*solve)(SolveHandle&, const WorkloadParams&, const SolveOptions&);
+};
 
-std::vector<std::string> SolveHandle::workload_names() const {
-  std::vector<std::string> names;
-  names.reserve(workloads_.size());
-  for (const auto& [name, fn] : workloads_) names.push_back(name);
-  return names;
-}
+/// The only by-name registry, sorted by name for lookup.
+constexpr CatalogueRow kCatalogue[] = {
+    {"bfs",
+     [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
+       return h.solve(Bfs{p.source}, o);
+     }},
+    {"domset",
+     [](SolveHandle& h, const WorkloadParams&, const SolveOptions& o) {
+       return h.solve(DominatingSet{}, o);
+     }},
+    {"mincut",
+     [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
+       return h.solve(MinCut{p.weights, p.num_trees, p.two_respecting}, o);
+     }},
+    {"mis",
+     [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
+       return h.solve(Mis{p.seed}, o);
+     }},
+    {"mst",
+     [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
+       return h.solve(Mst{p.weights, p.stop_at_fragment_size}, o);
+     }},
+    {"mst.ghs",
+     [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
+       return h.solve(GhsMst{p.weights}, o);
+     }},
+    {"sssp.approx",
+     [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
+       return h.solve(
+           ApproxSssp{p.weights, p.source, p.epsilon, p.num_seeds,
+                      p.bf_rounds_per_cycle, p.repartition_growth,
+                      p.voronoi_hop_cap, p.wavefront_seeds},
+           o);
+     }},
+    {"sssp.exact",
+     [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
+       return h.solve(ExactSssp{p.weights, p.source}, o);
+     }},
+};
+static_assert(std::ranges::is_sorted(kCatalogue, {}, &CatalogueRow::name));
+
+}  // namespace
 
 RunReport SolveHandle::solve(std::string_view workload,
                              const WorkloadParams& params,
                              const SolveOptions& opt) {
-  auto it = workloads_.find(workload);
-  if (it == workloads_.end())
+  const CatalogueRow* row = std::ranges::lower_bound(
+      kCatalogue, workload, {}, &CatalogueRow::name);
+  if (row == std::end(kCatalogue) || row->name != workload)
     throw InvariantViolation("SolveHandle: unknown workload '" +
                              std::string(workload) + "'");
-  RunReport r = it->second(*this, params, opt);
-  r.workload = std::string(workload);
-  return r;
-}
-
-void SolveHandle::register_builtin_workloads() {
-  register_workload("mst", [](SolveHandle& h, const WorkloadParams& p,
-                              const SolveOptions& o) {
-    return h.solve(Mst{p.weights, p.stop_at_fragment_size}, o);
-  });
-  register_workload("mst.ghs", [](SolveHandle& h, const WorkloadParams& p,
-                                  const SolveOptions& o) {
-    return h.solve(GhsMst{p.weights}, o);
-  });
-  register_workload("mincut", [](SolveHandle& h, const WorkloadParams& p,
-                                 const SolveOptions& o) {
-    return h.solve(MinCut{p.weights, p.num_trees, p.two_respecting}, o);
-  });
-  register_workload("sssp.exact", [](SolveHandle& h, const WorkloadParams& p,
-                                     const SolveOptions& o) {
-    return h.solve(ExactSssp{p.weights, p.source}, o);
-  });
-  register_workload("sssp.approx", [](SolveHandle& h, const WorkloadParams& p,
-                                      const SolveOptions& o) {
-    return h.solve(
-        ApproxSssp{p.weights, p.source, p.epsilon, p.num_seeds,
-                   p.bf_rounds_per_cycle, p.repartition_growth,
-                   p.voronoi_hop_cap, p.wavefront_seeds},
-        o);
-  });
-  register_workload("bfs", [](SolveHandle& h, const WorkloadParams& p,
-                              const SolveOptions& o) {
-    return h.solve(Bfs{p.source}, o);
-  });
-  register_workload("mis", [](SolveHandle& h, const WorkloadParams& p,
-                              const SolveOptions& o) {
-    return h.solve(Mis{p.seed}, o);
-  });
-  register_workload("domset", [](SolveHandle& h, const WorkloadParams& p,
-                                 const SolveOptions& o) {
-    (void)p;  // span greedy has no parameter knobs
-    return h.solve(DominatingSet{}, o);
-  });
+  return row->solve(*this, params, opt);
 }
 
 const std::vector<std::string>& builtin_workload_names() {
-  static const std::vector<std::string> names = {
-      "bfs",         "domset", "mincut",     "mis",
-      "mst",         "mst.ghs", "sssp.approx", "sssp.exact"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const CatalogueRow& row : kCatalogue) out.emplace_back(row.name);
+    return out;
+  }();
   return names;
 }
 

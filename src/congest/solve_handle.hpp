@@ -3,22 +3,23 @@
 //
 // A SolveHandle owns everything one in-flight request needs and nothing it
 // must share: the Simulator (round engine + arenas + staging shards), the
-// execution policy, the per-request cache-hit/miss accounting, and the
-// name-keyed workload registry. All expensive read-only state — graph,
-// certificate, rooted tree, shortcut cache — lives in the SolverCore the
-// handle points at (solver_core.hpp), so handles are cheap to create per
-// request and any number of them can drive the SAME core from different
-// threads concurrently. serve::QueryServer does exactly that; the legacy
-// congest::Session wraps one core + one default handle.
+// execution policy and the per-request cache-hit/miss accounting. All
+// expensive read-only state — graph, certificate, rooted tree, shortcut
+// cache — lives in the SolverCore the handle points at (solver_core.hpp),
+// so handles are cheap to create per request and any number of them can
+// drive the SAME core from different threads concurrently.
+// serve::QueryServer does exactly that; the legacy congest::Session wraps
+// one core + one default handle.
 //
 // This header also defines the workload request structs, result payloads,
 // RunReport and SolveOptions that were historically part of session.hpp —
 // they are the vocabulary of every solve, whichever surface issues it.
+// The by-name workload catalogue is one constant table in
+// solve_handle.cpp: solve(name, params) looks the name up there, and
+// builtin_workload_names() lists it.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -104,34 +105,43 @@ struct Aggregate {
 };
 
 // ----------------------------------------------------------------- payloads
+//
+// Each payload compares field by field (io::run_reports_identical).
 
 struct MstPayload {
   std::vector<EdgeId> edges;
   std::vector<PartId> fragment_of;
+  bool operator==(const MstPayload&) const = default;
 };
 struct MinCutPayload {
   Weight value = 0;
   int trees = 0;
+  bool operator==(const MinCutPayload&) const = default;
 };
 struct SsspPayload {
   std::vector<Weight> dist;
   long long jumps = 0;
+  bool operator==(const SsspPayload&) const = default;
 };
 struct BfsPayload {
   std::vector<int> dist;
   std::vector<VertexId> parent;
   std::vector<EdgeId> parent_edge;
+  bool operator==(const BfsPayload&) const = default;
 };
 struct AggregatePayload {
   std::vector<AggValue> min_of_part;
+  bool operator==(const AggregatePayload&) const = default;
 };
 struct MisPayload {
   std::vector<char> in_mis;  ///< 1 iff the vertex is in the MIS
   VertexId size = 0;
+  bool operator==(const MisPayload&) const = default;
 };
 struct DomsetPayload {
   std::vector<char> in_set;  ///< 1 iff the vertex joined the dominating set
   VertexId size = 0;         ///< |D| as summed at the tree root
+  bool operator==(const DomsetPayload&) const = default;
 };
 
 // --------------------------------------------------------------- run report
@@ -199,8 +209,6 @@ struct SolveOptions {
   /// false = cold run: bypass the cache, build every shortcut fresh (every
   /// build counts as a miss). Benches use this as the uncached baseline.
   bool use_cache = true;
-  /// false = do not charge construction substitutions at all (ablations).
-  bool charge_construction = true;
   /// Per-phase telemetry stream (Boruvka phase / packing tree / scale phase
   /// / GHS phase). Workloads with no phase structure (ExactSssp, Bfs,
   /// single-shot Aggregate) emit nothing.
@@ -217,8 +225,7 @@ struct SolveOptions {
 };
 
 /// Parameter bundle for string dispatch: the union of every built-in
-/// workload's knobs, defaulted like the typed structs. (Historically nested
-/// as Session::WorkloadParams, which remains an alias.)
+/// workload's knobs, defaulted like the typed structs.
 struct WorkloadParams {
   std::vector<Weight> weights;
   VertexId source = 0;  ///< SSSP source / BFS root
@@ -234,8 +241,8 @@ struct WorkloadParams {
   std::uint64_t seed = 1;  ///< MIS priority seed
 };
 
-/// The names register_builtin_workloads() installs, sorted — the single
-/// source of truth tools (mnsctl usage) and tests quote.
+/// The names SolveHandle::solve(name, ...) accepts, sorted — read off the
+/// catalogue table, so tools (mnsctl usage) and tests quote the same list.
 [[nodiscard]] const std::vector<std::string>& builtin_workload_names();
 
 // ------------------------------------------------------------- solve handle
@@ -285,23 +292,12 @@ class SolveHandle {
   [[nodiscard]] RunReport solve(const Aggregate& q,
                                 const SolveOptions& opt = {});
 
-  // -- the name-keyed workload registry --
-
-  /// Runs the named workload (builtin_workload_names(): "bfs", "domset",
-  /// "mincut", "mis", "mst", "mst.ghs", "sssp.approx", "sssp.exact").
-  /// Throws InvariantViolation naming the offender on unknown names.
+  /// Runs the named workload (builtin_workload_names()) by mapping `params`
+  /// onto its typed request. Throws InvariantViolation naming the offender
+  /// on unknown names.
   [[nodiscard]] RunReport solve(std::string_view workload,
                                 const WorkloadParams& params,
                                 const SolveOptions& opt = {});
-
-  using WorkloadFn = std::function<RunReport(
-      SolveHandle&, const WorkloadParams&, const SolveOptions&)>;
-  /// Registers a strategy. Throws InvariantViolation on empty or duplicate
-  /// names.
-  void register_workload(std::string name, WorkloadFn fn);
-  [[nodiscard]] bool has_workload(std::string_view name) const;
-  /// Sorted registry names.
-  [[nodiscard]] std::vector<std::string> workload_names() const;
 
   // -- per-handle cache accounting (what RunReports delta against) --
   [[nodiscard]] long long cache_hits() const noexcept { return hits_; }
@@ -312,7 +308,6 @@ class SolveHandle {
 
  private:
   [[nodiscard]] ShortcutSource make_source(const SolveOptions& opt);
-  void register_builtin_workloads();
 
   /// Runs `body` between telemetry snapshots and assembles the RunReport;
   /// applies the solve's execution policy (threads) to the simulator first.
@@ -325,7 +320,6 @@ class SolveHandle {
   long long hits_ = 0;
   long long misses_ = 0;
   long long evictions_ = 0;
-  std::map<std::string, WorkloadFn, std::less<>> workloads_;
 };
 
 }  // namespace mns::congest

@@ -9,6 +9,19 @@
 
 namespace mns::congest {
 
+namespace {
+
+/// Fills in the documented defaults, so config() reports what the core runs
+/// with and a successor built from it behaves identically.
+CoreConfig with_defaults(CoreConfig config) {
+  if (!config.tree) config.tree = center_tree_factory();
+  if (config.engine == nullptr) config.engine = &ShortcutEngine::global();
+  config.cache_capacity = std::max<std::size_t>(1, config.cache_capacity);
+  return config;
+}
+
+}  // namespace
+
 SolverCore::SolverCore(Graph g, StructuralCertificate certificate,
                        CoreConfig config)
     : SolverCore(std::make_shared<const Graph>(std::move(g)),
@@ -18,22 +31,18 @@ SolverCore::SolverCore(std::shared_ptr<const Graph> g,
                        StructuralCertificate certificate, CoreConfig config)
     : g_(std::move(g)),
       cert_(std::move(certificate)),
-      tree_factory_(config.tree ? std::move(config.tree)
-                                : center_tree_factory()),
-      engine_(config.engine != nullptr ? config.engine
-                                       : &ShortcutEngine::global()),
-      cache_capacity_(std::max<std::size_t>(1, config.cache_capacity)),
-      ldd_options_(config.ldd) {
+      config_(with_defaults(std::move(config))) {
   require(g_ != nullptr, "SolverCore: null graph");
 }
 
 const RootedTree& SolverCore::tree() const {
-  std::call_once(tree_once_, [&] { tree_.emplace(tree_factory_(*g_)); });
+  std::call_once(tree_once_, [&] { tree_.emplace(config_.tree(*g_)); });
   return *tree_;
 }
 
 const LddDecomposition& SolverCore::ldd() const {
-  std::call_once(ldd_once_, [&] { ldd_.emplace(ldd_decompose(*g_, ldd_options_)); });
+  std::call_once(ldd_once_,
+                 [&] { ldd_.emplace(ldd_decompose(*g_, config_.ldd)); });
   return *ldd_;
 }
 
@@ -63,7 +72,7 @@ std::size_t SolverCore::insert_locked(
     }
   }
   std::size_t evicted = 0;
-  while (entries_.size() >= cache_capacity_) {
+  while (entries_.size() >= config_.cache_capacity) {
     // Exact LRU: evict the entry with the smallest use stamp. The stamps
     // come from one atomic clock, so the eviction order is the total hit
     // order even when the hits raced on the shared-locked path.
@@ -114,7 +123,7 @@ SolverCore::Acquired SolverCore::acquire(const Partition& parts,
     // must not serialize concurrent requests), then insert once.
     misses_.fetch_add(1, std::memory_order_relaxed);
     auto built = std::make_shared<const Shortcut>(
-        engine_->build_shortcut(*g_, tree(), parts, cert_));
+        config_.engine->build_shortcut(*g_, tree(), parts, cert_));
     auto span = parts.part_of_all();
     std::size_t evicted = 0;
     {
@@ -126,12 +135,12 @@ SolverCore::Acquired SolverCore::acquire(const Partition& parts,
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto built = std::make_shared<const Shortcut>(
-      engine_->build_shortcut(*g_, tree(), parts, cert_));
+      config_.engine->build_shortcut(*g_, tree(), parts, cert_));
   return Acquired{std::move(built), /*fresh=*/true, /*hit=*/false};
 }
 
 BuildResult SolverCore::analyze(const Partition& parts) const {
-  BuildResult out = engine_->build(*g_, tree(), parts, cert_);
+  BuildResult out = config_.engine->build(*g_, tree(), parts, cert_);
   // Seed the cache so a following solve over the same partition hits
   // (counter-neutral: analysis is not query traffic).
   auto span = parts.part_of_all();
@@ -148,7 +157,7 @@ SolverCore::CacheStats SolverCore::cache_stats() const noexcept {
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
   s.entries = cache_size();
-  s.capacity = cache_capacity_;
+  s.capacity = config_.cache_capacity;
   return s;
 }
 
@@ -216,14 +225,9 @@ std::shared_ptr<const SolverCore> SolverCore::update(const UpdateBatch& batch,
                              : delta.touched[static_cast<std::size_t>(nv)];
   }
 
-  CoreConfig cfg;
-  cfg.tree = tree_factory_;
-  cfg.engine = engine_;
-  cfg.cache_capacity = cache_capacity_;
-  cfg.ldd = ldd_options_;
   auto core = std::make_shared<SolverCore>(
       std::make_shared<const Graph>(std::move(delta.graph)), std::move(cert),
-      std::move(cfg));
+      config_);
   const VertexId new_n = core->graph().num_vertices();
 
   stats.structural = true;

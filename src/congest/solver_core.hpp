@@ -139,11 +139,12 @@ class SolverCore {
   [[nodiscard]] const StructuralCertificate& certificate() const noexcept {
     return cert_;
   }
+  /// The construction knobs this core runs with, defaults filled in. A
+  /// successor built from them (update(), Session::set_certificate and
+  /// set_tree_factory) keeps every knob, the LDD options included.
+  [[nodiscard]] const CoreConfig& config() const noexcept { return config_; }
   [[nodiscard]] const ShortcutEngine& engine() const noexcept {
-    return *engine_;
-  }
-  [[nodiscard]] const TreeFactory& tree_factory() const noexcept {
-    return tree_factory_;
+    return *config_.engine;
   }
   /// The core spanning tree, built on first use (std::call_once — safe to
   /// race) and immutable afterwards.
@@ -154,9 +155,6 @@ class SolverCore {
   /// PartitionSource::kLdd, so its shortcut is ONE cache entry shared by all
   /// of them.
   [[nodiscard]] const LddDecomposition& ldd() const;
-  [[nodiscard]] const LddOptions& ldd_options() const noexcept {
-    return ldd_options_;
-  }
 
   // -- the read-mostly shortcut acquisition path ---------------------------
 
@@ -197,9 +195,6 @@ class SolverCore {
   }
   [[nodiscard]] long long cache_evictions() const noexcept {
     return evictions_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t cache_capacity() const noexcept {
-    return cache_capacity_;
   }
   /// Drops every cached shortcut (counters are NOT reset). Not part of the
   /// serving discipline — call only while no handle is mid-solve.
@@ -249,10 +244,7 @@ class SolverCore {
 
   std::shared_ptr<const Graph> g_;
   StructuralCertificate cert_;
-  TreeFactory tree_factory_;
-  const ShortcutEngine* engine_;
-  std::size_t cache_capacity_;
-  LddOptions ldd_options_;
+  CoreConfig config_;
 
   mutable std::once_flag tree_once_;
   mutable std::optional<RootedTree> tree_;

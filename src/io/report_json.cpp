@@ -142,40 +142,7 @@ bool run_reports_identical(const RunReport& a, const RunReport& b) {
     return false;
   // Full payload content (the digest comparison in JSON is the same check
   // modulo FNV collisions; here we have the real data, so compare exactly).
-  if (a.payload.index() != b.payload.index()) return false;
-  if (const auto* am = std::get_if<congest::MstPayload>(&a.payload)) {
-    const auto& bm = std::get<congest::MstPayload>(b.payload);
-    return am->edges == bm.edges && am->fragment_of == bm.fragment_of;
-  }
-  if (const auto* ac = std::get_if<congest::MinCutPayload>(&a.payload)) {
-    const auto& bc = std::get<congest::MinCutPayload>(b.payload);
-    return ac->value == bc.value && ac->trees == bc.trees;
-  }
-  if (const auto* as = std::get_if<congest::SsspPayload>(&a.payload)) {
-    const auto& bs = std::get<congest::SsspPayload>(b.payload);
-    return as->dist == bs.dist && as->jumps == bs.jumps;
-  }
-  if (const auto* ab = std::get_if<congest::BfsPayload>(&a.payload)) {
-    const auto& bb = std::get<congest::BfsPayload>(b.payload);
-    return ab->dist == bb.dist && ab->parent == bb.parent &&
-           ab->parent_edge == bb.parent_edge;
-  }
-  if (const auto* aa = std::get_if<congest::AggregatePayload>(&a.payload)) {
-    const auto& ba = std::get<congest::AggregatePayload>(b.payload);
-    if (aa->min_of_part.size() != ba.min_of_part.size()) return false;
-    for (std::size_t i = 0; i < aa->min_of_part.size(); ++i)
-      if (aa->min_of_part[i] != ba.min_of_part[i]) return false;
-    return true;
-  }
-  if (const auto* ai = std::get_if<congest::MisPayload>(&a.payload)) {
-    const auto& bi = std::get<congest::MisPayload>(b.payload);
-    return ai->in_mis == bi.in_mis && ai->size == bi.size;
-  }
-  if (const auto* ad = std::get_if<congest::DomsetPayload>(&a.payload)) {
-    const auto& bd = std::get<congest::DomsetPayload>(b.payload);
-    return ad->in_set == bd.in_set && ad->size == bd.size;
-  }
-  return true;  // both monostate
+  return a.payload == b.payload;
 }
 
 }  // namespace mns::io

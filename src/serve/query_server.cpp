@@ -47,8 +47,7 @@ Request QueryServer::normalize(const Request& request) const {
   // The batching rule (DESIGN.md §10): source-independent Voronoi cells give
   // every source of a k-source batch the SAME partition, so the shared
   // cache pays one construction for the whole batch.
-  if (config_.batch_shared_partitions && r.workload == "sssp.approx")
-    r.params.wavefront_seeds = false;
+  if (r.workload == "sssp.approx") r.params.wavefront_seeds = false;
   return r;
 }
 

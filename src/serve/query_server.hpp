@@ -20,11 +20,10 @@
 //     Cold concurrent serving stays correct — racing builders of one
 //     partition insert once and results are bit-identical — but BOTH may
 //     pay the construction charge, so cold reports are width-dependent.
-//   * batching: with batch_shared_partitions (default), k-source
-//     "sssp.approx" requests are normalized to wavefront_seeds=false —
-//     source-independent Voronoi cells make all k sources share ONE
-//     partition, so the whole batch hits one cached shortcut instead of
-//     building k wavefront-specific ones.
+//   * batching: every "sssp.approx" request is normalized to
+//     wavefront_seeds=false — source-independent Voronoi cells make all k
+//     sources of a batch share ONE partition, so the whole batch hits one
+//     cached shortcut instead of building k wavefront-specific ones.
 //   * each Response carries the canonical RunReport (io/report_json
 //     renders it; response_to_json below wraps it with request status).
 #pragma once
@@ -42,7 +41,8 @@
 
 namespace mns::serve {
 
-/// One query: a registry workload name plus its parameter bundle.
+/// One query: a catalogue workload name (congest::builtin_workload_names())
+/// plus its parameter bundle.
 struct Request {
   std::string workload;  ///< "mst", "mincut", "sssp.approx", ... ("bfs" etc.)
   congest::WorkloadParams params;
@@ -60,9 +60,6 @@ struct Response {
 struct ServerConfig {
   /// Concurrent workers (= SolveHandles) serving a batch; >= 1.
   int workers = 1;
-  /// Normalize "sssp.approx" requests to wavefront_seeds=false so k-source
-  /// batches share one partition (and therefore one cached shortcut).
-  bool batch_shared_partitions = true;
   /// Core construction knobs for from_snapshot (ignored by the shared-core
   /// constructor, whose core is already built).
   congest::CoreConfig core;
@@ -125,7 +122,7 @@ class QueryServer {
   }
 
  private:
-  /// Applies the batching rules to one request (see ServerConfig).
+  /// Applies the batching rule to one request (see the header comment).
   [[nodiscard]] Request normalize(const Request& request) const;
   [[nodiscard]] Response answer(congest::SolveHandle& handle,
                                 const Request& request);

@@ -1,4 +1,4 @@
-// Session contract tests: the uniform solve surface, the workload registry,
+// Session contract tests: the uniform solve surface, the workload catalogue,
 // and above all the shortcut-cache semantics — hits on identical partition
 // fingerprints, invalidation on repartition / certificate change / tree
 // change, LRU eviction, and bit-identical results (edges / dist / cut value
@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "congest/session.hpp"
+#include "core/ldd.hpp"
 #include "gen/apex.hpp"
 #include "gen/basic.hpp"
 #include "gen/clique_sum.hpp"
@@ -95,6 +100,34 @@ TEST(SessionCache, InvalidationOnTreeFactoryChange) {
   RunReport after = s.solve(congest::Aggregate{parts, ramp_values(64)});
   EXPECT_EQ(after.cache_hits, 0);
   EXPECT_EQ(after.cache_misses, 1);
+}
+
+TEST(SessionCache, CoreSwapsKeepTheConfiguredKnobs) {
+  // set_certificate / set_tree_factory build a successor core over the same
+  // graph. It must keep the LDD options and cache capacity the session was
+  // configured with, or `--partition ldd` solves silently switch to a
+  // different clustering.
+  Graph g = gen::grid(8, 8).graph();
+  congest::SessionConfig cfg;
+  cfg.cache_capacity = 3;
+  cfg.ldd.beta = 0.5;
+  cfg.ldd.seed = 9;
+  Session s(g, greedy_certificate(), std::move(cfg));
+  auto part_of = [](const Partition& parts) {
+    const std::span<const PartId> ids = parts.part_of_all();
+    return std::vector<PartId>(ids.begin(), ids.end());
+  };
+  auto clusters = [&] { return part_of(s.core_ptr()->ldd().parts); };
+  const std::vector<PartId> configured = clusters();
+  ASSERT_NE(configured, part_of(ldd_decompose(g).parts));  // knobs matter
+
+  s.set_certificate(steiner_certificate());
+  EXPECT_EQ(clusters(), configured);
+  EXPECT_EQ(s.core_ptr()->cache_stats().capacity, 3u);
+  s.set_tree_factory(
+      [](const Graph& gg) { return RootedTree::from_bfs(bfs(gg, 0), 0); });
+  EXPECT_EQ(clusters(), configured);
+  EXPECT_EQ(s.core_ptr()->cache_stats().capacity, 3u);
 }
 
 TEST(SessionCache, LruEvictsLeastRecentlyUsed) {
@@ -302,60 +335,70 @@ TEST(SessionParity, PerSolveThreadOverrideMatchesSessionDefault) {
 TEST(SessionRegistry, BuiltinsMirrorTypedSolves) {
   Graph g = gen::grid(6, 6).graph();
   Rng rng(37);
-  std::vector<Weight> w = gen::unique_random_weights(g, rng);
+  // Every field a catalogue row reads is off its default, so a row that
+  // drops one runs a different request than its typed mirror below.
+  congest::WorkloadParams p;
+  p.weights = gen::unique_random_weights(g, rng);
+  p.source = 3;
+  p.stop_at_fragment_size = 4;
+  p.num_trees = 3;
+  p.two_respecting = true;
+  p.epsilon = 0.5;
+  p.num_seeds = 4;
+  p.bf_rounds_per_cycle = 3;
+  p.repartition_growth = 1.0;
+  p.voronoi_hop_cap = 2;
+  p.wavefront_seeds = false;
+  p.seed = 7;
+  const std::map<std::string, std::function<RunReport(Session&)>> typed = {
+      {"bfs", [&](Session& s) { return s.solve(congest::Bfs{p.source}); }},
+      {"domset",
+       [&](Session& s) { return s.solve(congest::DominatingSet{}); }},
+      {"mincut",
+       [&](Session& s) {
+         return s.solve(
+             congest::MinCut{p.weights, p.num_trees, p.two_respecting});
+       }},
+      {"mis", [&](Session& s) { return s.solve(congest::Mis{p.seed}); }},
+      {"mst",
+       [&](Session& s) {
+         return s.solve(congest::Mst{p.weights, p.stop_at_fragment_size});
+       }},
+      {"mst.ghs",
+       [&](Session& s) { return s.solve(congest::GhsMst{p.weights}); }},
+      {"sssp.approx",
+       [&](Session& s) {
+         return s.solve(congest::ApproxSssp{
+             p.weights, p.source, p.epsilon, p.num_seeds,
+             p.bf_rounds_per_cycle, p.repartition_growth, p.voronoi_hop_cap,
+             p.wavefront_seeds});
+       }},
+      {"sssp.exact",
+       [&](Session& s) {
+         return s.solve(congest::ExactSssp{p.weights, p.source});
+       }},
+  };
+  for (const std::string& name : congest::builtin_workload_names()) {
+    const auto it = typed.find(name);
+    ASSERT_NE(it, typed.end()) << "no typed mirror for catalogue row " << name;
+    Session by_name_session(g);
+    Session typed_session(g);
+    const RunReport by_name = by_name_session.solve(name, p);
+    EXPECT_EQ(by_name.workload, name);
+    EXPECT_TRUE(io::run_reports_identical(by_name, it->second(typed_session)))
+        << name;
+  }
+
   Session s(g);
-  for (const char* name :
-       {"bfs", "mincut", "mst", "mst.ghs", "sssp.approx", "sssp.exact"})
-    EXPECT_TRUE(s.has_workload(name)) << name;
-
-  Session::WorkloadParams params;
-  params.weights = w;
-  RunReport by_name = s.solve("mst", params);
-  EXPECT_EQ(by_name.workload, "mst");
-  RunReport typed = s.solve(congest::Mst{w});
-  EXPECT_EQ(by_name.mst().edges, typed.mst().edges);
-  EXPECT_EQ(by_name.rounds, typed.rounds);
-
-  params.source = 3;
-  RunReport sssp = s.solve("sssp.exact", params);
-  EXPECT_EQ(sssp.sssp().dist, dijkstra(g, w, 3).dist);
+  RunReport sssp = s.solve("sssp.exact", p);
+  EXPECT_EQ(sssp.sssp().dist, dijkstra(g, p.weights, p.source).dist);
 }
 
-TEST(SessionRegistry, UnknownAndDuplicateNamesThrow) {
+TEST(SessionRegistry, UnknownNameThrows) {
   Graph g = gen::path(4);
   Session s(g);
-  Session::WorkloadParams params;
+  congest::WorkloadParams params;
   EXPECT_THROW((void)s.solve("no-such-workload", params), InvariantViolation);
-  EXPECT_THROW(s.register_workload("mst", [](Session& ss,
-                                             const Session::WorkloadParams& p,
-                                             const congest::SolveOptions& o) {
-    return ss.solve(congest::Mst{p.weights}, o);
-  }),
-               InvariantViolation);
-  EXPECT_THROW(s.register_workload("", nullptr), InvariantViolation);
-}
-
-TEST(SessionRegistry, CustomWorkloadsCompose) {
-  Graph g = gen::grid(5, 5).graph();
-  Rng rng(41);
-  std::vector<Weight> w = gen::unique_random_weights(g, rng);
-  Session s(g);
-  // A composite workload: MST then min-cut, reporting the min-cut.
-  s.register_workload("audit", [](Session& ss,
-                                  const Session::WorkloadParams& p,
-                                  const congest::SolveOptions& o) {
-    (void)ss.solve(congest::Mst{p.weights}, o);
-    return ss.solve(congest::MinCut{p.weights, p.num_trees}, o);
-  });
-  ASSERT_TRUE(s.has_workload("audit"));
-  std::vector<std::string> names = s.workload_names();
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
-  Session::WorkloadParams params;
-  params.weights = w;
-  params.num_trees = 3;
-  RunReport rep = s.solve("audit", params);
-  EXPECT_EQ(rep.workload, "audit");
-  EXPECT_GE(rep.min_cut().value, 1);
 }
 
 TEST(SessionCache, EvictionCounterSurfacesChurnPressure) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "congest/session.hpp"
@@ -469,6 +470,50 @@ TEST(CanonicalReportJson, ParsesAndCarriesDeterministicFields) {
   EXPECT_FALSE(io::run_reports_identical(rep, warm1));  // cold vs warm
   EXPECT_TRUE(io::run_reports_identical(warm1, warm2));
   EXPECT_EQ(warm1.rounds, rep.rounds);  // measured schedule never changes
+}
+
+TEST(RunReportsIdentical, RejectsAnyPayloadDifference) {
+  using Payload = decltype(RunReport::payload);
+  using congest::AggValue;
+  // One filled payload of every kind next to copies with one field changed.
+  const congest::MstPayload mst{{1, 4}, {0, 0, 1}};
+  const congest::MinCutPayload cut{5, 3};
+  const congest::SsspPayload sssp{{0, 2, 7}, 4};
+  const congest::BfsPayload bfs{{0, 1, 1}, {-1, 0, 0}, {-1, 0, 2}};
+  const congest::AggregatePayload agg{{AggValue{3, 1}, AggValue{8, 2}}};
+  const congest::MisPayload mis{{1, 0, 1}, 2};
+  const congest::DomsetPayload dom{{0, 1, 0}, 1};
+  const std::vector<std::pair<Payload, Payload>> perturbed = {
+      {mst, congest::MstPayload{{1, 5}, mst.fragment_of}},
+      {mst, congest::MstPayload{mst.edges, {0, 1, 1}}},
+      {cut, congest::MinCutPayload{6, cut.trees}},
+      {cut, congest::MinCutPayload{cut.value, 4}},
+      {sssp, congest::SsspPayload{{0, 2, 8}, sssp.jumps}},
+      {sssp, congest::SsspPayload{sssp.dist, 5}},
+      {bfs, congest::BfsPayload{{0, 1, 2}, bfs.parent, bfs.parent_edge}},
+      {bfs, congest::BfsPayload{bfs.dist, {-1, 0, 1}, bfs.parent_edge}},
+      {bfs, congest::BfsPayload{bfs.dist, bfs.parent, {-1, 0, 1}}},
+      {agg, congest::AggregatePayload{{AggValue{3, 1}, AggValue{9, 2}}}},
+      {agg, congest::AggregatePayload{{AggValue{3, 0}, AggValue{8, 2}}}},
+      {mis, congest::MisPayload{{1, 1, 1}, mis.size}},
+      {mis, congest::MisPayload{mis.in_mis, 3}},
+      {dom, congest::DomsetPayload{{1, 1, 0}, dom.size}},
+      {dom, congest::DomsetPayload{dom.in_set, 2}},
+      // Same fields, different kind.
+      {congest::MisPayload{{1, 0}, 1}, congest::DomsetPayload{{1, 0}, 1}},
+      // No payload against an empty one.
+      {Payload{}, congest::MstPayload{}},
+  };
+  for (const auto& [base, changed] : perturbed) {
+    RunReport a;
+    a.workload = "w";
+    a.payload = base;
+    RunReport b = a;
+    EXPECT_TRUE(io::run_reports_identical(a, b)) << "kind " << base.index();
+    b.payload = changed;
+    EXPECT_FALSE(io::run_reports_identical(a, b)) << "kind " << base.index();
+    EXPECT_FALSE(io::run_reports_identical(b, a)) << "kind " << base.index();
+  }
 }
 
 TEST(CanonicalReportJson, MalformedJsonThrowsTyped) {
