@@ -1,6 +1,8 @@
 // Micro-benchmarks (google-benchmark): construction and measurement
 // throughput of the library's hot paths — generator, BFS tree, the three
-// shortcut constructors, metrics, folding, and one aggregation round.
+// shortcut constructors, metrics, folding, and part-wise aggregation (its
+// table construction alone, and whole aggregate_min runs, whose
+// items_per_second counts messages).
 #include <benchmark/benchmark.h>
 
 #include "congest/aggregation.hpp"
@@ -162,8 +164,27 @@ BENCHMARK(BM_SimulatorFinishRoundMerge)
     ->Args({1 << 15, 4})
     ->Args({1 << 15, 8});
 
-void BM_AggregationWheel(benchmark::State& state) {
+// Repeated aggregate_min runs over one aggregator (its workspace is reused,
+// as in sssp.approx's jumps and mincut's per-tree pass); items are messages.
+void run_aggregations(benchmark::State& state, const Graph& g,
+                      const Partition& parts, const Shortcut& sc) {
   using namespace mns::congest;
+  PartwiseAggregator agg(g, parts, sc);
+  std::vector<AggValue> init(static_cast<std::size_t>(g.num_vertices()));
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    init[static_cast<std::size_t>(v)] = {v, v};
+  long long messages = 0;
+  for (auto _ : state) {
+    Simulator sim(g);
+    benchmark::DoNotOptimize(agg.aggregate_min(sim, init));
+    messages += sim.messages_sent();
+  }
+  state.SetItemsProcessed(messages);
+}
+
+// A hub of degree n-1 next to a ring of degree-3 vertices, split into 8
+// long ring sectors that only the apex shortcut makes short.
+void BM_AggregationWheel(benchmark::State& state) {
   const VertexId n = static_cast<VertexId>(state.range(0));
   GraphBuilder b(n);
   for (VertexId v = 1; v < n; ++v) {
@@ -174,15 +195,44 @@ void BM_AggregationWheel(benchmark::State& state) {
   RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
   Partition parts = ring_sectors(n, 1, n - 1, 8);
   Shortcut sc = engine().build_shortcut(g, t, parts, apex_certificate({0}));
-  PartwiseAggregator agg(g, parts, sc);
-  std::vector<AggValue> init(n);
-  for (VertexId v = 0; v < n; ++v) init[v] = {v, v};
-  for (auto _ : state) {
-    Simulator sim(g);
-    benchmark::DoNotOptimize(agg.aggregate_min(sim, init));
-  }
+  run_aggregations(state, g, parts, sc);
 }
 BENCHMARK(BM_AggregationWheel)->Arg(1 << 10)->Arg(1 << 12);
+
+// The degree-4 counterpart: a side x side grid in side Voronoi cells over
+// its greedy shortcut.
+struct GridAggregationCase {
+  Graph g;
+  Partition parts;
+  Shortcut sc;
+};
+GridAggregationCase grid_aggregation_case(int side) {
+  Graph g = gen::grid(side, side).graph();
+  RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
+  Rng rng(7);
+  Partition parts = voronoi_partition(g, side, rng);
+  Shortcut sc = engine().build_shortcut(g, t, parts, greedy_certificate());
+  return {std::move(g), std::move(parts), std::move(sc)};
+}
+
+void BM_AggregationGrid(benchmark::State& state) {
+  const GridAggregationCase c =
+      grid_aggregation_case(static_cast<int>(state.range(0)));
+  run_aggregations(state, c.g, c.parts, c.sc);
+}
+BENCHMARK(BM_AggregationGrid)->Arg(32)->Arg(64);
+
+// The aggregator's table construction alone (no rounds): the 64x64 grid
+// case above.
+void BM_AggregatorBuild(benchmark::State& state) {
+  const GridAggregationCase c =
+      grid_aggregation_case(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
+    benchmark::DoNotOptimize(agg.participations());
+  }
+}
+BENCHMARK(BM_AggregatorBuild)->Arg(64);
 
 }  // namespace
 

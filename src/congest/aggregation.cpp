@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
+#include <span>
 
 #include "congest/vertex_program.hpp"
 
@@ -11,190 +12,250 @@ namespace mns::congest {
 namespace {
 constexpr AggValue kInfinity{std::numeric_limits<std::int64_t>::max(),
                              std::numeric_limits<std::int32_t>::max()};
+constexpr std::uint64_t kIndexLimit =
+    std::numeric_limits<std::uint32_t>::max();
 
-/// Sorts + dedups each CSR range of (offset, flat) in place and compacts the
-/// arrays; offsets are rewritten to the deduped ranges.
-void sort_unique_compact(std::vector<std::size_t>& offset,
-                         std::vector<PartId>& flat) {
-  std::size_t write = 0;
-  std::size_t range_begin = 0;
-  for (std::size_t i = 0; i + 1 < offset.size(); ++i) {
-    auto* b = flat.data() + range_begin;
-    auto* e = flat.data() + offset[i + 1];
-    range_begin = offset[i + 1];
-    std::sort(b, e);
-    auto* ue = std::unique(b, e);
-    offset[i] = write;
-    for (auto* p = b; p != ue; ++p) flat[write++] = *p;
-  }
-  offset.back() = write;
-  flat.resize(write);
-  flat.shrink_to_fit();
+/// Exclusive prefix sum in place over counts stored at [1, size): afterwards
+/// a[i] is the start of range i and a.back() the total.
+void prefix_sum(std::vector<std::uint32_t>& a) {
+  for (std::size_t i = 1; i < a.size(); ++i) a[i] += a[i - 1];
 }
 }  // namespace
 
 PartwiseAggregator::PartwiseAggregator(const Graph& g, const Partition& parts,
                                        const Shortcut& shortcut)
     : g_(&g), parts_(&parts) {
-  require(static_cast<PartId>(shortcut.edges_of_part.size()) ==
-              parts.num_parts(),
+  const PartId num_parts = parts.num_parts();
+  require(static_cast<PartId>(shortcut.edges_of_part.size()) == num_parts,
           "PartwiseAggregator: shortcut size mismatch");
+  require(parts.part_of_all().size() ==
+              static_cast<std::size_t>(g.num_vertices()),
+          "PartwiseAggregator: partition size differs from the graph's");
   const std::size_t m = static_cast<std::size_t>(g.num_edges());
   const std::size_t n = static_cast<std::size_t>(g.num_vertices());
+  for (const std::vector<EdgeId>& es : shortcut.edges_of_part)
+    for (EdgeId e : es)
+      require(e >= 0 && static_cast<std::size_t>(e) < m,
+              "PartwiseAggregator: shortcut edge out of range");
 
-  // parts-of-edge CSR: count, fill, then sort + dedup each range.
-  std::vector<std::size_t> count(m, 0);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    PartId pu = parts.part_of(g.edge(e).u);
-    PartId pv = parts.part_of(g.edge(e).v);
-    if (pu != kNoPart && pu == pv) ++count[static_cast<std::size_t>(e)];
-  }
-  for (PartId p = 0; p < parts.num_parts(); ++p)
-    for (EdgeId e : shortcut.edges_of_part[p])
-      ++count[static_cast<std::size_t>(e)];
-  poe_offset_.assign(m + 1, 0);
-  for (std::size_t e = 0; e < m; ++e)
-    poe_offset_[e + 1] = poe_offset_[e] + count[e];
-  poe_flat_.resize(poe_offset_[m]);
-  std::vector<std::size_t> cursor(poe_offset_.begin(), poe_offset_.end() - 1);
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    PartId pu = parts.part_of(g.edge(e).u);
-    PartId pv = parts.part_of(g.edge(e).v);
-    if (pu != kNoPart && pu == pv)
-      poe_flat_[cursor[static_cast<std::size_t>(e)]++] = pu;
-  }
-  for (PartId p = 0; p < parts.num_parts(); ++p)
-    for (EdgeId e : shortcut.edges_of_part[p])
-      poe_flat_[cursor[static_cast<std::size_t>(e)]++] = p;
-  sort_unique_compact(poe_offset_, poe_flat_);
-
-  // parts-of-node CSR: part membership plus incident communication edges.
-  count.assign(n, 0);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (parts.part_of(v) != kNoPart) ++count[static_cast<std::size_t>(v)];
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    const std::size_t deg = poe_offset_[static_cast<std::size_t>(e) + 1] -
-                            poe_offset_[static_cast<std::size_t>(e)];
-    count[static_cast<std::size_t>(g.edge(e).u)] += deg;
-    count[static_cast<std::size_t>(g.edge(e).v)] += deg;
-  }
-  pon_offset_.assign(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v)
-    pon_offset_[v + 1] = pon_offset_[v] + count[v];
-  pon_flat_.resize(pon_offset_[n]);
-  cursor.assign(pon_offset_.begin(), pon_offset_.end() - 1);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (parts.part_of(v) != kNoPart)
-      pon_flat_[cursor[static_cast<std::size_t>(v)]++] = parts.part_of(v);
-  for (EdgeId e = 0; e < g.num_edges(); ++e)
-    for (PartId p : parts_of_edge(e)) {
-      pon_flat_[cursor[static_cast<std::size_t>(g.edge(e).u)]++] = p;
-      pon_flat_[cursor[static_cast<std::size_t>(g.edge(e).v)]++] = p;
+  // Both passes visit parts in ascending id; within part p an edge or node
+  // counts once, deduplicated by remembering the last part that touched it.
+  // Ascending visits make every parts-of-edge range sorted without a sort.
+  // Part p communicates over its intra-part edges, met from each member's
+  // side, and over its shortcut edges.
+  std::vector<PartId> edge_mark(m, kNoPart);
+  std::vector<PartId> node_mark(n, kNoPart);
+  auto for_each_part_edge = [&](PartId p, auto&& fn) {
+    for (VertexId v : parts.members(p)) {
+      const std::span<const VertexId> nbrs = g.neighbors(v);
+      const std::span<const EdgeId> es = g.incident_edges(v);
+      for (std::size_t j = 0; j < es.size(); ++j)
+        if (parts.part_of(nbrs[j]) == p) fn(es[j]);
     }
-  sort_unique_compact(pon_offset_, pon_flat_);
-  participations_ = pon_flat_.size();
+    for (EdgeId e : shortcut.edges_of_part[static_cast<std::size_t>(p)])
+      fn(e);
+  };
 
-  // -- per-directed-slot machinery (header comment; DESIGN.md §9) --
-  const std::size_t total_bits = 2 * poe_offset_[m];
-  require(total_bits < std::numeric_limits<std::uint32_t>::max() &&
-              participations_ < std::numeric_limits<std::uint32_t>::max(),
+  // Pass 1: count parts per edge and participations per node.
+  poe_offset_.assign(m + 1, 0);
+  std::vector<std::uint32_t> node_offset(n + 1, 0);
+  for (PartId p = 0; p < num_parts; ++p) {
+    for (VertexId v : parts.members(p)) {
+      node_mark[static_cast<std::size_t>(v)] = p;
+      ++node_offset[static_cast<std::size_t>(v) + 1];
+    }
+    for_each_part_edge(p, [&](EdgeId e) {
+      const std::size_t ei = static_cast<std::size_t>(e);
+      if (edge_mark[ei] == p) return;
+      edge_mark[ei] = p;
+      ++poe_offset_[ei + 1];
+      const Edge& ed = g.edge(e);
+      for (VertexId x : {ed.u, ed.v}) {
+        const std::size_t xi = static_cast<std::size_t>(x);
+        if (node_mark[xi] != p) {
+          node_mark[xi] = p;
+          ++node_offset[xi + 1];
+        }
+      }
+    });
+  }
+  // 2 * total bits and the participations must fit packed 32-bit indexing.
+  std::uint64_t bits = 0;
+  std::uint64_t nodes = 0;
+  for (std::size_t e = 0; e < m; ++e) bits += poe_offset_[e + 1];
+  for (std::size_t v = 0; v < n; ++v) nodes += node_offset[v + 1];
+  require(2 * bits < kIndexLimit && nodes < kIndexLimit,
           "PartwiseAggregator: instance exceeds packed 32-bit slot indexing");
+  prefix_sum(poe_offset_);
+  prefix_sum(node_offset);
+  participations_ = node_offset[n];
+
+  // Pass 2: fill the parts-of-edge lists and, alongside, owner_: each newly
+  // seen (node, part) takes the next index in the node's range, and every
+  // edge bit records both endpoints' indices.
+  poe_flat_.resize(poe_offset_[m]);
+  owner_.resize(2 * poe_flat_.size());
+  own_slot_.assign(n, 0);
+  redirty_offset_.assign(participations_ + 1, 0);
+  std::fill(edge_mark.begin(), edge_mark.end(), kNoPart);
+  std::fill(node_mark.begin(), node_mark.end(), kNoPart);
+  std::vector<std::uint32_t> edge_fill(poe_offset_.begin(),
+                                       poe_offset_.end() - 1);
+  std::vector<std::uint32_t> current(n, 0);  // index of (v, p) under part p
+  for (PartId p = 0; p < num_parts; ++p) {
+    for (VertexId v : parts.members(p)) {
+      const std::size_t vi = static_cast<std::size_t>(v);
+      node_mark[vi] = p;
+      current[vi] = node_offset[vi]++;
+      own_slot_[vi] = current[vi];
+    }
+    for_each_part_edge(p, [&](EdgeId e) {
+      const std::size_t ei = static_cast<std::size_t>(e);
+      if (edge_mark[ei] == p) return;
+      edge_mark[ei] = p;
+      const std::uint32_t i = edge_fill[ei]++;
+      poe_flat_[i] = p;
+      const Edge& ed = g.edge(e);
+      const VertexId ends[2] = {ed.u, ed.v};
+      for (std::size_t side = 0; side < 2; ++side) {
+        const std::size_t xi = static_cast<std::size_t>(ends[side]);
+        if (node_mark[xi] != p) {
+          node_mark[xi] = p;
+          current[xi] = node_offset[xi]++;
+        }
+        owner_[2 * std::size_t{i} + side] = current[xi];
+        ++redirty_offset_[std::size_t{current[xi]} + 1];
+      }
+    });
+  }
+
+  // redirty_: walk every vertex's incident edges in order and file each of
+  // its outgoing bits under the participation that owns it. The offsets
+  // double as fill cursors and are shifted back afterwards.
+  prefix_sum(redirty_offset_);
+  redirty_.resize(owner_.size());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    for (EdgeId e : g.incident_edges(v)) {
+      const std::size_t ei = static_cast<std::size_t>(e);
+      const std::uint32_t side = g.edge(e).u == v ? 0u : 1u;
+      const std::uint32_t slot = 2 * static_cast<std::uint32_t>(e) + side;
+      for (std::uint32_t i = poe_offset_[ei]; i < poe_offset_[ei + 1]; ++i) {
+        const std::uint32_t s = owner_[2 * std::size_t{i} + side];
+        redirty_[redirty_offset_[s]++] = SlotBit{slot, i - poe_offset_[ei]};
+      }
+    }
+  }
+  for (std::size_t s = participations_; s > 0; --s)
+    redirty_offset_[s] = redirty_offset_[s - 1];
+  redirty_offset_[0] = 0;
+
   word_off_.assign(2 * m + 1, 0);
   for (std::size_t d = 0; d < 2 * m; ++d) {
-    const std::size_t k = poe_offset_[d / 2 + 1] - poe_offset_[d / 2];
-    word_off_[d + 1] =
-        word_off_[d] + static_cast<std::uint32_t>((k + 63) / 64);
+    const std::uint32_t k_e = poe_offset_[d / 2 + 1] - poe_offset_[d / 2];
+    word_off_[d + 1] = word_off_[d] + (k_e + 63) / 64;
   }
 }
 
-namespace {
-
-/// The flooding schedule of aggregate_min as a VertexProgram. Ownership
-/// discipline (what makes the parallel fan-out race-free): every directed
-/// slot d = 2e + side belongs to its sender endpoint from(d); dirty bits,
-/// cursors and the per-vertex active-slot lists of d are touched only while
-/// the engine is running from(d) — in the send phase when from(d) transmits,
-/// in the receive phase when from(d) absorbs an improvement and re-dirties
-/// its own outgoing slots. Per-(node, part) state is v-local by
-/// construction. The only cross-vertex structure is the frontier itself,
-/// assembled from PerShard lists at the barrier.
+/// The flooding schedule of aggregate_min as a VertexProgram over the
+/// aggregator's tables and workspace. Ownership discipline (what makes the
+/// parallel fan-out race-free): every directed slot d = 2e + side belongs to
+/// its sender endpoint from(d); dirty words, cursors and the active-slot
+/// list of d's owner are written only while the engine is running from(d) —
+/// in the send phase when from(d) transmits, in the receive phase when
+/// from(d) absorbs an improvement and re-dirties its own outgoing slots.
+/// The receive phase also READS the cursor of the incoming slot, which only
+/// the send phase writes. Per-participation state is v-local. The only
+/// cross-vertex structure is the frontier, assembled from PerShard lists at
+/// the barrier.
 ///
-/// Per-slot bookkeeping is word-packed (DESIGN.md §9): slot d owns the
-/// word-aligned dirty bitmask [word_off[d], word_off[d+1]) over
-/// parts_of_edge(e), scanned with countr_zero — 1/8th the footprint of a
-/// byte-per-part dirty array and O(k/64) for the round-robin scan and the
-/// still-dirty check. The transmit order and the re-dirty order are exactly
-/// the reference decoder's, so traffic is bit-identical (pinned by the
-/// parity tests).
-struct AggregationProgram {
-  const Graph& g;
-  const PartwiseAggregator::SlotTables t;  ///< precomputed (see header)
-  std::vector<AggValue>& state;
-
-  std::vector<std::uint64_t> bits;  ///< packed dirty masks, word_off layout
-  std::vector<std::uint32_t> cursor;
-  std::vector<char> slot_active;
-  // Per vertex: owned slots with >= 1 dirty part.
-  std::vector<std::vector<std::uint32_t>> active_slots;
+/// Send: each active slot transmits ONE part's value, the first dirty bit
+/// at or after its cursor in circular order; the cursor then moves past it.
+/// A slot is active exactly while it has a dirty bit, so activity is read
+/// off the words themselves. Receive: the bit a message travelled on is the
+/// one just before the sender's cursor, so owner_ at the receiving side
+/// names the participation to compare against, and an improvement sets the
+/// precomputed redirty_ bits. The transmit order and re-dirty order are
+/// those of the original per-message search, so traffic is byte-identical
+/// (pinned by test_wire_parity's recorded digests).
+struct PartwiseAggregator::Program {
+  const std::uint32_t* poe_off;
+  const PartId* poe_flat;
+  const std::uint32_t* word_off;
+  const std::uint32_t* owner;
+  const std::uint32_t* redirty_off;
+  const SlotBit* redirty;
+  AggValue* state;
+  std::uint64_t* dirty;
+  std::uint32_t* cursor;
+  std::uint32_t* active;
+  const std::uint32_t* active_base;
+  std::uint32_t* active_count;
   FrontierTracker tracker;
 
-  [[nodiscard]] std::size_t part_count(EdgeId e) const {
-    return t.poe_off[static_cast<std::size_t>(e) + 1] -
-           t.poe_off[static_cast<std::size_t>(e)];
-  }
-  [[nodiscard]] std::span<const PartId> edge_parts(EdgeId e) const {
-    return {t.poe_flat + t.poe_off[static_cast<std::size_t>(e)],
-            t.poe_flat + t.poe_off[static_cast<std::size_t>(e) + 1]};
-  }
-  [[nodiscard]] std::span<const PartId> node_parts(VertexId v) const {
-    return {t.pon_flat + t.pon_off[static_cast<std::size_t>(v)],
-            t.pon_flat + t.pon_off[static_cast<std::size_t>(v) + 1]};
-  }
-  /// Participation slot of (v, p); p must participate at v.
-  [[nodiscard]] std::size_t node_slot(VertexId v, PartId p) const {
-    const std::span<const PartId> ps = node_parts(v);
-    return t.pon_off[static_cast<std::size_t>(v)] +
-           static_cast<std::size_t>(
-               std::lower_bound(ps.begin(), ps.end(), p) - ps.begin());
-  }
-
-  AggregationProgram(Simulator& sim, const PartwiseAggregator::SlotTables& st,
-                     std::vector<AggValue>& state_in)
-      : g(sim.graph()), t(st), state(state_in),
-        bits(t.word_off[static_cast<std::size_t>(g.num_edges()) * 2], 0),
-        cursor(static_cast<std::size_t>(g.num_edges()) * 2, 0),
-        slot_active(static_cast<std::size_t>(g.num_edges()) * 2, 0),
-        active_slots(static_cast<std::size_t>(g.num_vertices())),
-        tracker(sim.num_shards(), g.num_vertices()) {
+  Program(PartwiseAggregator& a, Simulator& sim)
+      : poe_off(a.poe_offset_.data()),
+        poe_flat(a.poe_flat_.data()),
+        word_off(a.word_off_.data()),
+        owner(a.owner_.data()),
+        redirty_off(a.redirty_offset_.data()),
+        redirty(a.redirty_.data()),
+        state(a.ws_.state.data()),
+        dirty(a.ws_.dirty.data()),
+        cursor(a.ws_.cursor.data()),
+        active(a.ws_.active.data()),
+        active_base(a.ws_.active_base.data()),
+        active_count(a.ws_.active_count.data()),
+        tracker(sim.num_shards(), a.g_->num_vertices()) {
     // Initially every participating (node, edge, part) with a finite value
-    // is dirty outward.
+    // is dirty outward, activated in ascending (edge, part, side) order.
+    const Graph& g = *a.g_;
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      const std::size_t ei = static_cast<std::size_t>(e);
       const Edge& ed = g.edge(e);
-      const std::span<const PartId> ps = edge_parts(e);
-      for (std::size_t i = 0; i < ps.size(); ++i) {
-        if (!(state[node_slot(ed.u, ps[i])] == kInfinity)) seed_dirty(e, 0, i);
-        if (!(state[node_slot(ed.v, ps[i])] == kInfinity)) seed_dirty(e, 1, i);
-      }
+      for (std::uint32_t i = poe_off[ei]; i < poe_off[ei + 1]; ++i)
+        for (std::uint32_t side = 0; side < 2; ++side)
+          if (!(state[owner[2 * std::size_t{i} + side]] == kInfinity))
+            mark_dirty(side == 0 ? ed.u : ed.v,
+                       2 * static_cast<std::uint32_t>(e) + side,
+                       i - poe_off[ei]);
     }
     for (VertexId v = 0; v < g.num_vertices(); ++v)
-      if (!active_slots[static_cast<std::size_t>(v)].empty()) tracker.seed(v);
+      if (active_count[static_cast<std::size_t>(v)] != 0) tracker.seed(v);
   }
 
-  void set_bit(std::size_t d, std::size_t i) {
-    bits[t.word_off[d] + (i >> 6)] |= std::uint64_t{1} << (i & 63);
+  static bool any_dirty(const std::uint64_t* w, std::uint32_t nw) {
+    if (nw == 1) return w[0] != 0;
+    return std::any_of(w, w + nw, [](std::uint64_t x) { return x != 0; });
   }
 
-  void seed_dirty(EdgeId e, int side, std::size_t idx) {
-    const std::size_t d =
-        2 * static_cast<std::size_t>(e) + static_cast<std::size_t>(side);
-    set_bit(d, idx);
-    if (!slot_active[d]) {
-      slot_active[d] = 1;
-      const Edge& ed = g.edge(e);
-      const VertexId owner = side == 0 ? ed.u : ed.v;
-      active_slots[static_cast<std::size_t>(owner)].push_back(
-          static_cast<std::uint32_t>(d));
-    }
+  /// First set bit of the nw-word mask `w` at or after bit `cur`, wrapping
+  /// around; 64 * nw if none is set.
+  static std::uint32_t first_dirty(const std::uint64_t* w, std::uint32_t nw,
+                                   std::uint32_t cur) {
+    auto at = [](std::uint32_t wi, std::uint64_t mask) {
+      return (wi << 6) + static_cast<std::uint32_t>(std::countr_zero(mask));
+    };
+    const std::uint32_t cw = cur >> 6;
+    const std::uint64_t ahead = w[cw] & (~std::uint64_t{0} << (cur & 63));
+    if (ahead != 0) return at(cw, ahead);
+    for (std::uint32_t wi = cw + 1; wi < nw; ++wi)
+      if (w[wi] != 0) return at(wi, w[wi]);
+    // Nothing at or after cur: the first set bit overall lies before it.
+    for (std::uint32_t wi = 0; wi <= cw; ++wi)
+      if (w[wi] != 0) return at(wi, w[wi]);
+    return nw << 6;
+  }
+
+  /// Sets bit `bit` of `slot` (owned by v); returns true if that activated
+  /// the slot, which is then appended to v's active list.
+  bool mark_dirty(VertexId v, std::uint32_t slot, std::uint32_t bit) {
+    std::uint64_t* w = dirty + word_off[slot];
+    const bool was_active = any_dirty(w, word_off[slot + 1] - word_off[slot]);
+    w[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+    if (was_active) return false;
+    const std::size_t vi = static_cast<std::size_t>(v);
+    active[active_base[vi] + active_count[vi]++] = slot;
+    return true;
   }
 
   [[nodiscard]] std::span<const VertexId> frontier() const {
@@ -202,97 +263,58 @@ struct AggregationProgram {
   }
 
   void send(VertexId u, VertexSender& out) {
-    // Each active directed slot transmits ONE part's value (round-robin) —
-    // the same schedule the sequential loop ran per active edge, now grouped
-    // under the owning sender.
-    auto& slots = active_slots[static_cast<std::size_t>(u)];
-    std::size_t kept = 0;
-    for (std::size_t si = 0; si < slots.size(); ++si) {
+    const std::size_t ui = static_cast<std::size_t>(u);
+    std::uint32_t* slots = active + active_base[ui];
+    const std::uint32_t count = active_count[ui];
+    std::uint32_t kept = 0;
+    for (std::uint32_t si = 0; si < count; ++si) {
       const std::uint32_t d = slots[si];
-      const EdgeId e = static_cast<EdgeId>(d / 2);
-      const std::size_t k = part_count(e);
-      std::uint64_t* w = bits.data() + t.word_off[d];
-      const std::size_t nw = t.word_off[d + 1] - t.word_off[d];
-      const std::size_t cur = cursor[d];
-      // First dirty bit in circular order from cur: scan [cur, k) then
-      // [0, cur) — the same choice the per-bit reference loop makes.
-      std::size_t sent = k;
-      for (std::size_t wi = cur >> 6; wi < nw && sent == k; ++wi) {
-        std::uint64_t mask = w[wi];
-        if (wi == cur >> 6) mask &= ~std::uint64_t{0} << (cur & 63);
-        if (mask != 0)
-          sent = (wi << 6) +
-                 static_cast<std::size_t>(std::countr_zero(mask));
-      }
-      for (std::size_t wi = 0; wi <= (cur >> 6) && wi < nw && sent == k;
-           ++wi) {
-        std::uint64_t mask = w[wi];
-        if (wi == cur >> 6)
-          mask &= (cur & 63) != 0
-                      ? (std::uint64_t{1} << (cur & 63)) - 1
-                      : 0;
-        if (mask != 0)
-          sent = (wi << 6) +
-                 static_cast<std::size_t>(std::countr_zero(mask));
-      }
-      bool still_dirty = false;
-      if (sent != k) {
-        const PartId p =
-            t.poe_flat[t.poe_off[static_cast<std::size_t>(e)] + sent];
-        const AggValue val = state[node_slot(u, p)];
-        out.send(e, Message{p, val.aux, val.value});
-        w[sent >> 6] &= ~(std::uint64_t{1} << (sent & 63));
-        cursor[d] = static_cast<std::uint32_t>((sent + 1) % k);
-        for (std::size_t wi = 0; wi < nw && !still_dirty; ++wi)
-          if (w[wi] != 0) still_dirty = true;
-      }
-      if (still_dirty)
-        slots[kept++] = d;
-      else
-        slot_active[d] = 0;
+      const std::size_t e = d >> 1;
+      const std::uint32_t base = poe_off[e];
+      const std::uint32_t k = poe_off[e + 1] - base;
+      std::uint64_t* w = dirty + word_off[d];
+      const std::uint32_t nw = word_off[d + 1] - word_off[d];
+      const std::uint32_t sent = first_dirty(w, nw, cursor[d]);
+      if (sent >= k) continue;  // not dirty after all: drop the slot
+      const std::size_t bit = std::size_t{base} + sent;
+      const AggValue val = state[owner[2 * bit + (d & 1)]];
+      out.send(static_cast<EdgeId>(e),
+               Message{poe_flat[bit], val.aux, val.value});
+      w[sent >> 6] &= ~(std::uint64_t{1} << (sent & 63));
+      cursor[d] = sent + 1 == k ? 0 : sent + 1;
+      if (any_dirty(w, nw)) slots[kept++] = d;
     }
-    slots.resize(kept);
+    active_count[ui] = kept;
     if (kept > 0) tracker.keep_from_send(u, out.shard());
   }
 
   void receive(VertexId v, Inbox inbox, const ShardContext& ctx) {
+    const std::span<const std::uint32_t> slots = inbox.slots();
+    const std::span<const Message> payloads = inbox.payloads();
     bool woke = false;
-    const std::span<const PartId> vparts = node_parts(v);
-    const std::size_t vbase = t.pon_off[static_cast<std::size_t>(v)];
-    for (const Delivery& del : inbox) {
-      const PartId p = del.msg.tag;
-      const AggValue incoming{del.msg.value, del.msg.aux};
-      const std::size_t s =
-          vbase + static_cast<std::size_t>(
-                      std::lower_bound(vparts.begin(), vparts.end(), p) -
-                      vparts.begin());
-      if (incoming < state[s]) {
-        state[s] = incoming;
-        // Improvements re-dirty v's own outgoing slots for part p.
-        for (EdgeId e2 : g.incident_edges(v)) {
-          const std::span<const PartId> ps = edge_parts(e2);
-          const auto it = std::lower_bound(ps.begin(), ps.end(), p);
-          if (it == ps.end() || *it != p) continue;
-          const std::size_t idx = static_cast<std::size_t>(it - ps.begin());
-          const std::size_t d = 2 * static_cast<std::size_t>(e2) +
-                                (g.edge(e2).u == v ? 0u : 1u);
-          set_bit(d, idx);
-          if (!slot_active[d]) {
-            slot_active[d] = 1;
-            active_slots[static_cast<std::size_t>(v)].push_back(
-                static_cast<std::uint32_t>(d));
-            woke = true;
-          }
-        }
-      }
+    for (std::size_t j = 0; j < slots.size(); ++j) {
+      const std::uint32_t d = slots[j];
+      const Message& msg = payloads[j];
+      const std::size_t e = d >> 1;
+      const std::uint32_t base = poe_off[e];
+      const std::uint32_t k = poe_off[e + 1] - base;
+      // The sender advanced its cursor just past the bit it sent.
+      const std::uint32_t sent = (cursor[d] == 0 ? k : cursor[d]) - 1;
+      const std::size_t bit = std::size_t{base} + sent;
+      require(sent < k && poe_flat[bit] == msg.tag,
+              "aggregate_min: delivery does not match its sender's slot");
+      const std::uint32_t s = owner[2 * bit + ((d & 1) ^ 1)];
+      const AggValue incoming{msg.value, msg.aux};
+      if (!(incoming < state[s])) continue;
+      state[s] = incoming;
+      for (std::uint32_t r = redirty_off[s]; r < redirty_off[s + 1]; ++r)
+        woke |= mark_dirty(v, redirty[r].slot, redirty[r].bit);
     }
     if (woke) tracker.wake_from_receive(v, ctx.shard);
   }
 
   void end_round() { tracker.end_round(); }
 };
-
-}  // namespace
 
 AggregationResult PartwiseAggregator::aggregate_min(
     Simulator& sim, const std::vector<AggValue>& initial) {
@@ -302,36 +324,49 @@ AggregationResult PartwiseAggregator::aggregate_min(
   require(static_cast<VertexId>(initial.size()) == n,
           "aggregate_min: initial size mismatch");
 
-  // Flat per-(node, part) state, indexed by the parts-of-node CSR.
-  std::vector<AggValue> state(participations_, kInfinity);
-  auto slot = [&](VertexId v, PartId p) -> std::size_t {
-    const std::span<const PartId> ps = parts_of_node(v);
-    auto it = std::lower_bound(ps.begin(), ps.end(), p);
-    require(it != ps.end() && *it == p, "aggregate_min: missing slot");
-    return pon_offset_[static_cast<std::size_t>(v)] +
-           static_cast<std::size_t>(it - ps.begin());
+  const std::size_t slots = 2 * static_cast<std::size_t>(g.num_edges());
+  if (ws_.clean) {
+    // The last run quiesced: no dirty bits, no active slots.
+    std::fill(ws_.cursor.begin(), ws_.cursor.end(), 0);
+  } else {
+    ws_.state.resize(participations_);
+    ws_.dirty.assign(word_off_[slots], 0);
+    ws_.cursor.assign(slots, 0);
+    ws_.active.resize(slots);
+    ws_.active_count.assign(static_cast<std::size_t>(n), 0);
+    ws_.active_base.resize(static_cast<std::size_t>(n) + 1);
+    ws_.active_base[0] = 0;
+    for (VertexId v = 0; v < n; ++v)
+      ws_.active_base[static_cast<std::size_t>(v) + 1] =
+          ws_.active_base[static_cast<std::size_t>(v)] +
+          static_cast<std::uint32_t>(g.degree(v));
+  }
+  ws_.clean = false;
+  // v's value for its own part.
+  auto own = [&](VertexId v) -> AggValue& {
+    return ws_.state[own_slot_[static_cast<std::size_t>(v)]];
   };
+  std::fill(ws_.state.begin(), ws_.state.end(), kInfinity);
   for (VertexId v = 0; v < n; ++v)
-    if (parts.part_of(v) != kNoPart)
-      state[slot(v, parts.part_of(v))] = initial[v];
+    if (parts.part_of(v) != kNoPart) own(v) = initial[v];
 
   long long start = sim.rounds();
-  AggregationProgram prog(sim, slot_tables(), state);
+  Program prog(*this, sim);
   (void)run_vertex_program(sim, prog);
+  ws_.clean = true;
 
   AggregationResult out;
   out.rounds = sim.rounds() - start;
   out.min_of_part.assign(parts.num_parts(), kInfinity);
   for (VertexId v = 0; v < n; ++v) {
     PartId p = parts.part_of(v);
-    if (p != kNoPart)
-      out.min_of_part[p] = std::min(out.min_of_part[p], state[slot(v, p)]);
+    if (p != kNoPart) out.min_of_part[p] = std::min(out.min_of_part[p], own(v));
   }
   // Convergence check: every member must hold the part minimum.
   for (VertexId v = 0; v < n; ++v) {
     PartId p = parts.part_of(v);
     if (p != kNoPart)
-      require(state[slot(v, p)] == out.min_of_part[p],
+      require(own(v) == out.min_of_part[p],
               "aggregate_min: member did not converge to the part minimum");
   }
   return out;

@@ -6,11 +6,15 @@
 // each other, so congestion shows up as real measured rounds. With an empty
 // shortcut this degrades to intra-part flooding — the naive baseline whose
 // round count is the isolated part diameter.
+//
+// The constructor resolves every (node, part) lookup the flood will need
+// into flat tables (DESIGN.md §9 "The aggregation kernel"), so sending and
+// receiving a message is a handful of indexed loads: no search, no
+// allocation. aggregate_min reuses one per-run workspace across calls.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -38,14 +42,17 @@ struct AggregationResult {
 class PartwiseAggregator {
  public:
   /// Precomputes the per-part communication graphs. `shortcut` may be empty
-  /// (edges_of_part all empty) for the no-shortcut baseline.
+  /// (edges_of_part all empty) for the no-shortcut baseline. Throws
+  /// InvariantViolation if `parts` is not a partition of g's vertices or
+  /// `shortcut` does not have one edge list per part.
   PartwiseAggregator(const Graph& g, const Partition& parts,
                      const Shortcut& shortcut);
 
   /// Distributed min: `initial[v]` is v's input (only read for vertices that
   /// belong to a part). On return every member of part p holds
   /// min_of_part[p]; the simulator's round counter advances by the measured
-  /// number of communication rounds.
+  /// number of communication rounds. Runs on the aggregator's own reusable
+  /// workspace: one caller at a time per aggregator.
   [[nodiscard]] AggregationResult aggregate_min(
       Simulator& sim, const std::vector<AggValue>& initial);
 
@@ -54,49 +61,53 @@ class PartwiseAggregator {
     return participations_;
   }
 
-  /// Raw-pointer view of the precomputed CSR machinery (members below),
-  /// handed to aggregate_min's internal VertexProgram.
-  struct SlotTables {
-    const std::size_t* poe_off;
-    const PartId* poe_flat;
-    const std::size_t* pon_off;
-    const PartId* pon_flat;
-    const std::uint32_t* word_off;
-  };
-  [[nodiscard]] SlotTables slot_tables() const noexcept {
-    return {poe_offset_.data(), poe_flat_.data(), pon_offset_.data(),
-            pon_flat_.data(), word_off_.data()};
-  }
-
  private:
+  struct Program;  // the flooding schedule (aggregation.cpp)
+
+  /// One outgoing dirty bit: bit `bit` of directed slot `slot` = 2e + side.
+  struct SlotBit {
+    std::uint32_t slot;
+    std::uint32_t bit;
+  };
+
+  /// The per-run state, sized on the first aggregate_min and reused by every
+  /// later one. A run that returns leaves the dirty words and active lists
+  /// empty, so the next run only rewinds the cursors; a run that threw
+  /// leaves `clean` false and the next run resets everything.
+  struct Workspace {
+    std::vector<AggValue> state;       ///< per participation
+    std::vector<std::uint64_t> dirty;  ///< packed masks, word_off_ layout
+    std::vector<std::uint32_t> cursor;        ///< per directed slot
+    std::vector<std::uint32_t> active;        ///< v's list at active_base[v]
+    std::vector<std::uint32_t> active_base;   ///< size n+1, by degree
+    std::vector<std::uint32_t> active_count;  ///< per vertex
+    bool clean = false;
+  };
+
   const Graph* g_;
   const Partition* parts_;
-  // Per-edge / per-node part lists in CSR form (sorted within each range).
-  // Flat arrays instead of vector-of-vectors: at n = 2^20 the m inner
-  // vectors alone cost tens of MB of headers and a heap allocation each —
-  // the DESIGN.md §9 memory model keeps the per-round data path flat.
-  std::vector<std::size_t> poe_offset_;  // size m+1; parts of edge e
-  std::vector<PartId> poe_flat_;
-  std::vector<std::size_t> pon_offset_;  // size n+1; parts of node v
-  std::vector<PartId> pon_flat_;
   std::size_t participations_ = 0;
 
-  // Dirty-word offsets for aggregate_min's packed per-slot bitmasks
-  // (DESIGN.md §9): directed slot d = 2e + side owns one dirty bit per part
-  // of edge e, stored word-aligned in ceil(k/64) uint64 words at
-  // word_off_[d]. Offsets are precomputed here (they depend only on the
-  // partition); the words themselves live in the per-call program so the
-  // aggregator stays read-only during rounds.
+  // Parts of edge e, ascending: poe_flat_[poe_offset_[e], poe_offset_[e+1]).
+  // Position i in that range is bit i of both directed slots of e.
+  std::vector<std::uint32_t> poe_offset_;  // size m+1
+  std::vector<PartId> poe_flat_;
+  // Dirty words of directed slot d = 2e + side: one bit per part of e,
+  // word-aligned in ceil(k/64) uint64 words at [word_off_[d],
+  // word_off_[d+1]), so two slots never share a word.
   std::vector<std::uint32_t> word_off_;  // size 2m+1
+  // Participation index of the endpoint on `side` of e for its i-th part:
+  // owner_[2 * (poe_offset_[e] + i) + side]. The sender reads its value
+  // through it; the receiver of slot d finds its own state at side d^1.
+  std::vector<std::uint32_t> owner_;  // size 2 * poe_flat_.size()
+  // For participation s = (v, p): v's outgoing bits that carry p, in
+  // incident_edges(v) order — exactly what an improvement at s re-dirties.
+  std::vector<std::uint32_t> redirty_offset_;  // size participations_+1
+  std::vector<SlotBit> redirty_;
+  // Participation index of (v, part_of(v)); unused for kNoPart vertices.
+  std::vector<std::uint32_t> own_slot_;  // size n
 
-  [[nodiscard]] std::span<const PartId> parts_of_edge(EdgeId e) const {
-    return {poe_flat_.data() + poe_offset_[static_cast<std::size_t>(e)],
-            poe_flat_.data() + poe_offset_[static_cast<std::size_t>(e) + 1]};
-  }
-  [[nodiscard]] std::span<const PartId> parts_of_node(VertexId v) const {
-    return {pon_flat_.data() + pon_offset_[static_cast<std::size_t>(v)],
-            pon_flat_.data() + pon_offset_[static_cast<std::size_t>(v) + 1]};
-  }
+  Workspace ws_;
 };
 
 }  // namespace mns::congest

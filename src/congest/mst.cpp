@@ -219,10 +219,11 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
     // Obtain this phase's shortcut and aggregate fragment minima. A FRESH
     // shortcut is charged one extra aggregation's worth of rounds (the
     // [HIZ16a] substitution, DESIGN.md §2); a cached one was already paid
-    // for when it was first built.
+    // for when it was first built. The aggregator is a temporary, so its
+    // tables are freed before the dissemination aggregator below is built.
     SourcedShortcut sc = options.source(g, parts);
-    PartwiseAggregator agg(g, parts, *sc.shortcut);
-    AggregationResult res = agg.aggregate_min(sim, initial);
+    const AggregationResult res =
+        PartwiseAggregator(g, parts, *sc.shortcut).aggregate_min(sim, initial);
     ++out.aggregations;
     if (sc.fresh) out.charged_construction_rounds += res.rounds;
 

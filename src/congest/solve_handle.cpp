@@ -272,6 +272,11 @@ RunReport SolveHandle::solve(const Aggregate& q, const SolveOptions& opt) {
     require(static_cast<VertexId>(q.values.size()) ==
                 core_->graph().num_vertices(),
             "SolveHandle: aggregate values size mismatch");
+    // Checked before the shortcut source sees the partition: a builder
+    // would index its per-vertex map by the graph's vertices.
+    require(static_cast<VertexId>(q.parts.part_of_all().size()) ==
+                core_->graph().num_vertices(),
+            "SolveHandle: aggregate partition size mismatch");
     SourcedShortcut s = make_source(opt)(core_->graph(), q.parts);
     PartwiseAggregator agg(core_->graph(), q.parts, *s.shortcut);
     AggregationResult res = agg.aggregate_min(sim_, q.values);

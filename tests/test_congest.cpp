@@ -166,6 +166,13 @@ TEST(Aggregation, RejectsWrongSizes) {
   Partition p = Partition::from_parts(4, {{0, 1}});
   Shortcut sc;  // wrong: 0 parts
   EXPECT_THROW(congest::PartwiseAggregator(g, p, sc), InvariantViolation);
+  // A partition sized for another graph (fewer vertices than g) must be
+  // refused before its per-vertex map is read.
+  Partition short_p(std::vector<PartId>(3, 0));
+  Shortcut one;
+  one.edges_of_part.resize(1);
+  EXPECT_THROW(congest::PartwiseAggregator(g, short_p, one),
+               InvariantViolation);
 }
 
 TEST(Kruskal, MatchesKnownMst) {

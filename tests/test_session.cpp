@@ -401,6 +401,24 @@ TEST(SessionRegistry, UnknownNameThrows) {
   EXPECT_THROW((void)s.solve("no-such-workload", params), InvariantViolation);
 }
 
+TEST(SessionCache, AggregateRejectsAPartitionOfAnotherSize) {
+  // A 10-vertex partition on a 64-vertex grid: refused before the shortcut
+  // source is consulted, so nothing is built or cached, and the session
+  // keeps answering well-formed requests.
+  Graph g = gen::grid(8, 8).graph();
+  Session s(g);
+  const std::size_t entries = s.core_ptr()->cache_stats().entries;
+  EXPECT_THROW((void)s.solve(congest::Aggregate{
+                   Partition(std::vector<PartId>(10, 0)), ramp_values(64)}),
+               InvariantViolation);
+  EXPECT_EQ(s.core_ptr()->cache_stats().entries, entries);
+  Rng rng(5);
+  Partition parts = voronoi_partition(g, 5, rng);
+  RunReport ok = s.solve(congest::Aggregate{parts, ramp_values(64)});
+  EXPECT_EQ(ok.aggregate().min_of_part.size(), 5u);
+  EXPECT_EQ(ok.cache_misses, 1);
+}
+
 TEST(SessionCache, EvictionCounterSurfacesChurnPressure) {
   Graph g = gen::grid(8, 8).graph();
   Rng rng(29);

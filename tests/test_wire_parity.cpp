@@ -7,19 +7,40 @@
 // 1/2/4/8 and pins rounds, messages, and the per-round inbox BYTES (raw
 // slots + payloads, in delivery order) bit-identical across widths — the
 // determinism contract of DESIGN.md §7 expressed against the wire itself.
+//
+// AggregationTrafficPinned goes one step further and pins the workloads'
+// traffic to fixed digests: a watching Transport folds every round's
+// canonical merged batch (destinations, slots, payloads) into FNV-1a, and
+// mst, mincut, both sssp.approx seedings, LDD-sourced mst and mis must
+// reproduce the recorded (rounds, messages, digest) on one instance per
+// certificate family at widths 1 and 4. Width parity alone cannot catch a
+// kernel change that reorders sends consistently at every width; the
+// recorded digests can. They depend on libstdc++'s std::shuffle and
+// distributions, like bench/baselines/ (DESIGN.md §8). The Wide* and
+// *Aggregator* cases pin a direct PartwiseAggregator the same way: edges
+// carrying more than 64 parts (multi-word dirty masks), reuse of one
+// aggregator across calls, and recovery after a run that threw.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "congest/aggregation.hpp"
+#include "congest/session.hpp"
 #include "congest/simulator.hpp"
 #include "congest/vertex_program.hpp"
+#include "core/shortcut_engine.hpp"
 #include "gen/apex.hpp"
 #include "gen/basic.hpp"
 #include "gen/clique_sum.hpp"
 #include "gen/ktree.hpp"
 #include "gen/planar.hpp"
+#include "gen/weights.hpp"
+#include "graph/algorithms.hpp"
+#include "transport/transport.hpp"
 
 namespace mns {
 namespace {
@@ -225,6 +246,291 @@ TEST(WireParity, CliqueSumFamily) {
   }
   gen::CliqueSumResult r = gen::compose_clique_sum(bags, 2, 0.0, rng);
   expect_width_parity(r.graph, "clique-sum of 6 grid bags");
+}
+
+// ------------------------------------------------- workload traffic digests
+
+/// Watches every round's canonical merged batch and folds it into one
+/// FNV-1a digest; never touches the payloads.
+class DigestTransport final : public transport::Transport {
+ public:
+  void exchange(const transport::RoundTraffic& t) override {
+    digest_ = fnv1a(digest_, &t.round, sizeof(t.round));
+    digest_ = fnv1a(digest_, t.to.data(), t.to.size_bytes());
+    digest_ = fnv1a(digest_, t.slot.data(), t.slot.size_bytes());
+    digest_ = fnv1a(digest_, t.payload.data(), t.payload.size_bytes());
+  }
+  [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
+
+ private:
+  std::uint64_t digest_ = 14695981039346656037ULL;
+};
+
+struct DigestFamily {
+  std::string name;
+  Graph graph;
+  StructuralCertificate cert;
+};
+
+/// One instance per certificate family, each large enough that the first
+/// aggregation frontier exceeds kParallelGrain (width 4 really stages).
+std::vector<DigestFamily> digest_families() {
+  std::vector<DigestFamily> out;
+  Rng rng(17);
+  out.push_back({"planar", gen::grid(20, 20).graph(), greedy_certificate()});
+  {
+    gen::KTreeResult kt = gen::random_ktree(400, 3, rng);
+    out.push_back(
+        {"treewidth", kt.graph, treewidth_certificate(kt.decomposition)});
+  }
+  {
+    gen::ApexResult ar =
+        gen::add_apices(gen::grid(18, 18).graph(), 1, 0.2, rng);
+    out.push_back({"apex", ar.graph, apex_certificate(ar.apices)});
+  }
+  {
+    Graph bag = gen::triangulated_grid(10, 10).graph();
+    std::vector<gen::BagInput> inputs;
+    for (int i = 0; i < 4; ++i)
+      inputs.push_back({bag, gen::default_glue_cliques(bag, 2)});
+    gen::CliqueSumResult cs = gen::compose_clique_sum(inputs, 2, 0.0, rng);
+    out.push_back(
+        {"cliquesum", cs.graph, cliquesum_certificate(cs.decomposition)});
+  }
+  return out;
+}
+
+struct TrafficPin {
+  const char* family;
+  const char* run;
+  long long rounds;
+  long long messages;
+  std::uint64_t digest;
+};
+
+/// Recorded from the aggregation kernel that still binary-searched its part
+/// lists per send and per receive; the search-free kernel must match it
+/// byte for byte.
+constexpr TrafficPin kTrafficPins[] = {
+    {"planar", "mst", 239, 66082, 0xe3265458ad266ef3ULL},
+    {"planar", "mincut4", 849, 300042, 0xdadaa1ddbbd9d791ULL},
+    {"planar", "sssp.wavefront", 84, 21473, 0xbce052d131b57a7eULL},
+    {"planar", "sssp.stride", 90, 27837, 0x387973fb95f45211ULL},
+    {"planar", "mst.ldd", 865, 271089, 0x6aee4531e182f56aULL},
+    {"planar", "mis", 6, 2803, 0xa9750ecc7a5685c5ULL},
+    {"treewidth", "mst", 55, 38547, 0x9489004c90af89eaULL},
+    {"treewidth", "mincut4", 120, 101683, 0x41c2da08f4a9116eULL},
+    {"treewidth", "sssp.wavefront", 30, 18977, 0xddd6732d8c94b9c4ULL},
+    {"treewidth", "sssp.stride", 30, 18543, 0xe253a94b09910bb4ULL},
+    {"treewidth", "mst.ldd", 225, 142059, 0xfe8929690d9ecba0ULL},
+    {"treewidth", "mis", 6, 4437, 0x44251331878ee7c5ULL},
+    {"apex", "mst", 74, 28587, 0xa20dbd69681c2abcULL},
+    {"apex", "mincut4", 251, 113921, 0x6c74ee9b9990fef7ULL},
+    {"apex", "sssp.wavefront", 36, 11784, 0x184d331a7edadab4ULL},
+    {"apex", "sssp.stride", 38, 13393, 0x9315bf3eb1af0f89ULL},
+    {"apex", "mst.ldd", 661, 407846, 0x211ca635d52b316aULL},
+    {"apex", "mis", 6, 2447, 0xaaf6d159cbaf109eULL},
+    {"cliquesum", "mst", 195, 58008, 0x783e7baff8b77ed3ULL},
+    {"cliquesum", "mincut4", 680, 227491, 0x3a7fc79549bf9502ULL},
+    {"cliquesum", "sssp.wavefront", 92, 27824, 0x6220e7f56efc42cbULL},
+    {"cliquesum", "sssp.stride", 87, 32321, 0x8b665feb5cb26bfcULL},
+    {"cliquesum", "mst.ldd", 640, 256977, 0xda0ceed87a6a0aabULL},
+    {"cliquesum", "mis", 6, 4069, 0xbcdd6f9e694a7910ULL},
+};
+
+const TrafficPin* find_pin(const std::string& family, const std::string& run) {
+  for (const TrafficPin& p : kTrafficPins)
+    if (family == p.family && run == p.run) return &p;
+  return nullptr;
+}
+
+TEST(WireParity, AggregationTrafficPinned) {
+  const char* runs[] = {"mst",         "mincut4",  "sssp.wavefront",
+                        "sssp.stride", "mst.ldd",  "mis"};
+  for (const DigestFamily& fam : digest_families()) {
+    ASSERT_GT(fam.graph.num_vertices(),
+              static_cast<VertexId>(congest::kParallelGrain));
+    Rng wrng(29);
+    const std::vector<Weight> w = gen::unique_random_weights(fam.graph, wrng);
+    const VertexId source = fam.graph.num_vertices() / 3;
+    for (const std::string run : runs) {
+      for (int width : {1, 4}) {
+        SCOPED_TRACE(fam.name + " " + run + " width " + std::to_string(width));
+        congest::Session session(fam.graph, fam.cert);
+        DigestTransport wire;
+        session.set_transport(&wire);
+        congest::SolveOptions opt;
+        opt.threads = width;
+        congest::RunReport r;
+        if (run == "mst") {
+          r = session.solve(congest::Mst{w}, opt);
+        } else if (run == "mincut4") {
+          r = session.solve(congest::MinCut{w, 4}, opt);
+        } else if (run == "sssp.wavefront" || run == "sssp.stride") {
+          congest::ApproxSssp q{w, source};
+          q.wavefront_seeds = run == "sssp.wavefront";
+          r = session.solve(q, opt);
+        } else if (run == "mst.ldd") {
+          opt.partition = congest::PartitionSource::kLdd;
+          r = session.solve(congest::Mst{w}, opt);
+        } else {
+          r = session.solve(congest::Mis{7}, opt);
+        }
+        const TrafficPin* pin = find_pin(fam.name, run);
+        if (pin == nullptr) {
+          ADD_FAILURE() << "no pin; measured {\"" << fam.name << "\", \""
+                        << run << "\", " << r.rounds << ", " << r.messages
+                        << ", 0x" << std::hex << wire.digest() << "ULL},";
+          continue;
+        }
+        EXPECT_EQ(r.rounds, pin->rounds);
+        EXPECT_EQ(r.messages, pin->messages);
+        EXPECT_EQ(wire.digest(), pin->digest)
+            << "traffic bytes diverged from the recorded digest";
+      }
+    }
+  }
+}
+
+// ---------------------------------------------- direct aggregator runs
+
+struct AggregationCase {
+  Graph g;
+  Partition parts;
+  Shortcut sc;
+};
+
+/// A wheel whose 75 ring sectors all claim the whole BFS tree: every spoke
+/// carries 75 parts, so each of its directed slots spans two dirty words and
+/// the round-robin cursor crosses a word boundary.
+AggregationCase wide_case() {
+  const VertexId n = 302;
+  Graph g = gen::wheel(n);
+  RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
+  Partition parts = ring_sectors(n, 1, n - 1, 75);
+  Shortcut sc;
+  sc.edges_of_part.resize(static_cast<std::size_t>(parts.num_parts()));
+  for (std::vector<EdgeId>& es : sc.edges_of_part)
+    for (VertexId v = 1; v < n; ++v) es.push_back(t.parent_edge(v));
+  return {std::move(g), std::move(parts), std::move(sc)};
+}
+
+/// A 20x20 grid in 20 Voronoi cells over its greedy shortcut.
+AggregationCase grid_case() {
+  Graph g = gen::grid(20, 20).graph();
+  RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
+  Rng rng(3);
+  Partition parts = voronoi_partition(g, 20, rng);
+  Shortcut sc = ShortcutEngine::global().build_shortcut(g, t, parts,
+                                                        greedy_certificate());
+  return {std::move(g), std::move(parts), std::move(sc)};
+}
+
+std::vector<congest::AggValue> salted_values(VertexId n, std::uint64_t salt) {
+  std::vector<congest::AggValue> init(static_cast<std::size_t>(n));
+  for (VertexId v = 0; v < n; ++v)
+    init[static_cast<std::size_t>(v)] = {
+        mix_label(static_cast<VertexId>(v ^ static_cast<VertexId>(salt))), v};
+  return init;
+}
+
+struct AggregationRun {
+  long long rounds = 0;
+  long long messages = 0;
+  std::uint64_t digest = 0;
+  std::vector<congest::AggValue> min_of_part;
+  bool operator==(const AggregationRun&) const = default;
+};
+
+AggregationRun run_aggregation(congest::PartwiseAggregator& agg,
+                               const Graph& g,
+                               const std::vector<congest::AggValue>& init,
+                               int width) {
+  DigestTransport wire;  // outlives the simulator it is installed on
+  Simulator sim(g, congest::ExecutionPolicy{width});
+  sim.set_transport(&wire);
+  congest::AggregationResult res = agg.aggregate_min(sim, init);
+  return {res.rounds, sim.messages_sent(), wire.digest(),
+          std::move(res.min_of_part)};
+}
+
+TEST(WireParity, WideAggregationTrafficPinned) {
+  // Recorded like kTrafficPins, from the search-based kernel.
+  const AggregationCase c = wide_case();
+  const std::vector<congest::AggValue> init =
+      salted_values(c.g.num_vertices(), 0);
+  for (int width : {1, 4}) {
+    SCOPED_TRACE(width);
+    congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
+    const AggregationRun r = run_aggregation(agg, c.g, init, width);
+    EXPECT_EQ(r.rounds, 77);
+    EXPECT_EQ(r.messages, 46448);
+    EXPECT_EQ(r.digest, 0x82d3c515ba5906c0ULL);
+  }
+}
+
+TEST(WireParity, ReusedAggregatorMatchesAFreshOne) {
+  // sssp.approx's jumps and mincut's per-tree pass call aggregate_min on
+  // one aggregator again and again: every call must send exactly what a
+  // fresh aggregator sends for the same input.
+  // The first input leaves two thirds of the parts without a value, so
+  // their bits are never sent and the cursors end that run mid-cycle.
+  for (const AggregationCase& c : {wide_case(), grid_case()}) {
+    std::vector<congest::AggValue> partial =
+        salted_values(c.g.num_vertices(), 1);
+    for (VertexId v = 0; v < c.g.num_vertices(); ++v)
+      if (c.parts.part_of(v) % 3 != 0)
+        partial[static_cast<std::size_t>(v)] = {
+            std::numeric_limits<std::int64_t>::max(),
+            std::numeric_limits<std::int32_t>::max()};
+    const std::vector<std::vector<congest::AggValue>> inputs = {
+        partial, salted_values(c.g.num_vertices(), 2),
+        salted_values(c.g.num_vertices(), 3)};
+    for (int width : {1, 4}) {
+      SCOPED_TRACE(width);
+      congest::PartwiseAggregator reused(c.g, c.parts, c.sc);
+      for (std::size_t i = 0; i < inputs.size(); ++i) {
+        congest::PartwiseAggregator fresh(c.g, c.parts, c.sc);
+        EXPECT_EQ(run_aggregation(reused, c.g, inputs[i], width),
+                  run_aggregation(fresh, c.g, inputs[i], width))
+            << "input " << i;
+      }
+    }
+  }
+}
+
+/// Lets `rounds` rounds through, then fails the next barrier.
+class FailingTransport final : public transport::Transport {
+ public:
+  explicit FailingTransport(long long rounds) : rounds_(rounds) {}
+  void exchange(const transport::RoundTraffic& t) override {
+    if (t.round > rounds_) throw transport::TransportError("link down");
+  }
+
+ private:
+  long long rounds_;
+};
+
+TEST(WireParity, AggregatorRecoversFromARunThatThrew) {
+  // A run cut off mid-flood leaves dirty bits, cursors and active lists
+  // behind; the next call must not see any of them.
+  const AggregationCase c = wide_case();
+  const std::vector<congest::AggValue> init =
+      salted_values(c.g.num_vertices(), 5);
+  for (int width : {1, 4}) {
+    SCOPED_TRACE(width);
+    congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
+    {
+      FailingTransport cut(3);
+      Simulator sim(c.g, congest::ExecutionPolicy{width});
+      sim.set_transport(&cut);
+      EXPECT_THROW((void)agg.aggregate_min(sim, init),
+                   transport::TransportError);
+    }
+    congest::PartwiseAggregator fresh(c.g, c.parts, c.sc);
+    EXPECT_EQ(run_aggregation(agg, c.g, init, width),
+              run_aggregation(fresh, c.g, init, width));
+  }
 }
 
 }  // namespace
