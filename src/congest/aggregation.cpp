@@ -154,6 +154,10 @@ PartwiseAggregator::PartwiseAggregator(const Graph& g, const Partition& parts,
     const std::uint32_t k_e = poe_offset_[d / 2 + 1] - poe_offset_[d / 2];
     word_off_[d + 1] = word_off_[d] + (k_e + 63) / 64;
   }
+  active_base_.assign(n + 1, 0);
+  for (std::size_t v = 0; v < n; ++v)
+    active_base_[v + 1] = active_base_[v] + static_cast<std::uint32_t>(
+        g.degree(static_cast<VertexId>(v)));
 }
 
 /// The flooding schedule of aggregate_min as a VertexProgram over the
@@ -203,7 +207,7 @@ struct PartwiseAggregator::Program {
         dirty(a.ws_.dirty.data()),
         cursor(a.ws_.cursor.data()),
         active(a.ws_.active.data()),
-        active_base(a.ws_.active_base.data()),
+        active_base(a.active_base_.data()),
         active_count(a.ws_.active_count.data()),
         tracker(sim.num_shards(), a.g_->num_vertices()) {
     // Initially every participating (node, edge, part) with a finite value
@@ -325,35 +329,21 @@ AggregationResult PartwiseAggregator::aggregate_min(
           "aggregate_min: initial size mismatch");
 
   const std::size_t slots = 2 * static_cast<std::size_t>(g.num_edges());
-  if (ws_.clean) {
-    // The last run quiesced: no dirty bits, no active slots.
-    std::fill(ws_.cursor.begin(), ws_.cursor.end(), 0);
-  } else {
-    ws_.state.resize(participations_);
-    ws_.dirty.assign(word_off_[slots], 0);
-    ws_.cursor.assign(slots, 0);
-    ws_.active.resize(slots);
-    ws_.active_count.assign(static_cast<std::size_t>(n), 0);
-    ws_.active_base.resize(static_cast<std::size_t>(n) + 1);
-    ws_.active_base[0] = 0;
-    for (VertexId v = 0; v < n; ++v)
-      ws_.active_base[static_cast<std::size_t>(v) + 1] =
-          ws_.active_base[static_cast<std::size_t>(v)] +
-          static_cast<std::uint32_t>(g.degree(v));
-  }
-  ws_.clean = false;
+  ws_.state.assign(participations_, kInfinity);
+  ws_.dirty.assign(word_off_[slots], 0);
+  ws_.cursor.assign(slots, 0);
+  ws_.active.resize(slots);
+  ws_.active_count.assign(static_cast<std::size_t>(n), 0);
   // v's value for its own part.
   auto own = [&](VertexId v) -> AggValue& {
     return ws_.state[own_slot_[static_cast<std::size_t>(v)]];
   };
-  std::fill(ws_.state.begin(), ws_.state.end(), kInfinity);
   for (VertexId v = 0; v < n; ++v)
     if (parts.part_of(v) != kNoPart) own(v) = initial[v];
 
   long long start = sim.rounds();
   Program prog(*this, sim);
   (void)run_vertex_program(sim, prog);
-  ws_.clean = true;
 
   AggregationResult out;
   out.rounds = sim.rounds() - start;

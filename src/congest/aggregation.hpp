@@ -70,18 +70,14 @@ class PartwiseAggregator {
     std::uint32_t bit;
   };
 
-  /// The per-run state, sized on the first aggregate_min and reused by every
-  /// later one. A run that returns leaves the dirty words and active lists
-  /// empty, so the next run only rewinds the cursors; a run that threw
-  /// leaves `clean` false and the next run resets everything.
+  /// The per-run state, reset in full at the start of every aggregate_min.
+  /// Its sizes are fixed by the tables, so it allocates only on the first.
   struct Workspace {
     std::vector<AggValue> state;       ///< per participation
     std::vector<std::uint64_t> dirty;  ///< packed masks, word_off_ layout
     std::vector<std::uint32_t> cursor;        ///< per directed slot
-    std::vector<std::uint32_t> active;        ///< v's list at active_base[v]
-    std::vector<std::uint32_t> active_base;   ///< size n+1, by degree
+    std::vector<std::uint32_t> active;        ///< v's list at active_base_[v]
     std::vector<std::uint32_t> active_count;  ///< per vertex
-    bool clean = false;
   };
 
   const Graph* g_;
@@ -106,6 +102,8 @@ class PartwiseAggregator {
   std::vector<SlotBit> redirty_;
   // Participation index of (v, part_of(v)); unused for kNoPart vertices.
   std::vector<std::uint32_t> own_slot_;  // size n
+  // Start of v's active-slot list in the workspace: the degree prefix sum.
+  std::vector<std::uint32_t> active_base_;  // size n+1
 
   Workspace ws_;
 };
