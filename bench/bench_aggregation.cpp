@@ -44,7 +44,7 @@ void run_certificate(bench::JsonReport& report, const char* name,
 
 void run_empty(bench::JsonReport& report, congest::Session& session,
                const Partition& parts) {
-  const Shortcut none = empty_shortcut_provider()(session.graph(), parts);
+  const Shortcut none = empty_shortcut(parts);
   ShortcutMetrics m =
       measure_shortcut(session.graph(), session.tree(), parts, none);
   congest::SolveOptions flooding;

@@ -49,15 +49,15 @@ int main() {
     Partition parts = voronoi_partition(
         r.graph, std::max(2, static_cast<int>(std::sqrt(r.graph.num_vertices()))),
         rng);
-    BuildResult br = bench::engine().build(
-        r.graph, t, parts, cliquesum_certificate(r.decomposition));
-    const ShortcutMetrics& m = br.metrics;
+    const StructuralCertificate cert = cliquesum_certificate(r.decomposition);
+    const ShortcutMetrics m =
+        bench::engine().build(r.graph, t, parts, cert).metrics;
     double lg = std::log2(static_cast<double>(r.graph.num_vertices()));
     std::printf("%6d %8d %6d %6d %8lld %16d %20.0f\n", bags_count,
                 r.graph.num_vertices(), m.block, m.congestion, m.quality,
                 2 * k + 4 * base.block, k * lg * lg + base.congestion);
     report.row().set("bags", bags_count).set("n", r.graph.num_vertices())
-        .set("builder", br.builder).set_metrics(m);
+        .set("builder", builder_name_for(cert)).set_metrics(m);
   }
   return 0;
 }

@@ -47,7 +47,7 @@ void BM_GreedyShortcut(benchmark::State& state) {
   RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
   Partition parts = voronoi_partition(g, 32, rng);
   StructuralCertificate cert = greedy_certificate();
-  // build_shortcut: construction + validation only (the provider hot path);
+  // build_shortcut: construction + validation only (a cache miss's cost);
   // measurement cost is isolated in BM_MeasureShortcut.
   for (auto _ : state)
     benchmark::DoNotOptimize(engine().build_shortcut(g, t, parts, cert));

@@ -21,14 +21,15 @@ int main() {
       RootedTree t = bench::center_tree(kt.graph);
       Partition parts = voronoi_partition(
           kt.graph, std::max(2, static_cast<int>(std::sqrt(n))), rng);
-      BuildResult r = bench::engine().build(
-          kt.graph, t, parts, treewidth_certificate(kt.decomposition));
-      const ShortcutMetrics& m = r.metrics;
+      const StructuralCertificate cert =
+          treewidth_certificate(kt.decomposition);
+      const ShortcutMetrics m =
+          bench::engine().build(kt.graph, t, parts, cert).metrics;
       std::printf("%4d %7d %6d %6d %8lld %12d %14.1f\n", k, n, m.block,
                   m.congestion, m.quality, k + 1,
                   (k + 1) * std::log2(static_cast<double>(n)));
-      report.row().set("k", k).set("n", n).set("builder", r.builder)
-          .set_metrics(m);
+      report.row().set("k", k).set("n", n)
+          .set("builder", builder_name_for(cert)).set_metrics(m);
     }
   }
   return 0;

@@ -3,12 +3,11 @@
 // they are deterministic (fixed seeds) so EXPERIMENTS.md numbers reproduce.
 //
 // All workload traffic goes through congest::Session (the one solver API;
-// shortcut construction dispatches through its certificate-keyed
-// ShortcutEngine + cache) — benches never wire builders or providers by
-// hand. Alongside the human-readable table every harness records a
-// machine-readable BENCH_<name>.json. Every row that reports rounds also
-// reports messages_sent, so the JSON captures congestion, not just round
-// counts.
+// shortcut construction dispatches on its certificate through ShortcutEngine
+// + cache) — benches never call the constructions by hand. Alongside the
+// human-readable table every harness records a machine-readable
+// BENCH_<name>.json. Every row that reports rounds also reports
+// messages_sent, so the JSON captures congestion, not just round counts.
 #pragma once
 
 #include <chrono>
@@ -49,7 +48,7 @@ namespace mns::bench {
 #endif
 }
 
-/// The shared default-configured engine every harness dispatches through.
+/// The engine every harness dispatches through.
 inline const ShortcutEngine& engine() { return ShortcutEngine::global(); }
 
 /// BFS tree rooted near the graph center (height <= D).

@@ -2,7 +2,8 @@
 // random subset of towns — i.e., a planar graph with an apex (Definition 2),
 // the canonical excluded-minor network that is NOT planar and where planar
 // algorithms break (see the paper's robustness discussion in §1). Computes a
-// distributed MST three ways and reports rounds.
+// distributed MST three ways, reports rounds, and checks each edge set
+// against Kruskal's (exit 1 on a mismatch).
 //
 //   $ ./examples/road_network_mst
 #include <algorithm>
@@ -57,12 +58,18 @@ int main() {
               g.num_vertices(), g.num_edges(), diameter_exact(g),
               with_satellite.apices[0]);
 
+  // The weights are distinct, so the MST is unique: every variant must
+  // return exactly Kruskal's edge set.
   std::vector<EdgeId> ref = congest::kruskal_mst(g, w);
+  std::sort(ref.begin(), ref.end());
+  bool ok = true;
   auto record = [&](const char* name, const congest::RunReport& res) {
+    std::vector<EdgeId> edges = res.mst().edges;
+    std::sort(edges.begin(), edges.end());
+    const bool same = edges == ref;
+    ok = ok && same;
     std::printf("%-34s rounds=%8lld phases=%2d  %s\n", name,
-                res.total_rounds(), res.phases,
-                res.mst().edges.size() == ref.size() ? "verified"
-                                                     : "MISMATCH");
+                res.total_rounds(), res.phases, same ? "verified" : "MISMATCH");
   };
 
   congest::SessionConfig cfg;
@@ -83,5 +90,5 @@ int main() {
   congest::SolveOptions flooding;
   flooding.use_shortcuts = false;
   record("no shortcuts", session.solve(congest::Mst{w}, flooding));
-  return 0;
+  return ok ? 0 : 1;
 }

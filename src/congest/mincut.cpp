@@ -238,7 +238,7 @@ MinCutResult approx_min_cut(Simulator& sim, const std::vector<Weight>& w,
     out.aggregations += mst.aggregations;
     for (EdgeId e : mst.edges) ++load[e];
     // Per-vertex candidate cuts (verifier-grade evaluation), then a REAL
-    // part-wise min aggregation over the whole network on the provider's
+    // part-wise min aggregation over the whole network on the source's
     // shortcut — the "one aggregation pass per tree" that used to be a
     // skip_rounds guess, now measured round-by-round like every other
     // distributed routine in src/congest.

@@ -29,13 +29,9 @@ namespace mns::congest {
 [[nodiscard]] std::vector<EdgeId> kruskal_mst(const Graph& g,
                                               const std::vector<Weight>& w);
 
-/// Re-exported from core/shortcut.hpp: Session wraps one into the
-/// ShortcutSource the workloads consume.
-using ShortcutProvider = ::mns::ShortcutProvider;
-
 struct MstOptions {
   /// Where this run's per-phase shortcuts come from (Session::solve wires
-  /// the session cache in here; source_from_provider() for bare providers).
+  /// the session cache in here; empty_shortcut_source() for flooding).
   ShortcutSource source;
   /// Stop early once every fragment has at least this many vertices
   /// (controlled-GHS phase 1); 0 = run to a single fragment.

@@ -6,23 +6,10 @@
 
 namespace mns::congest {
 
-namespace {
-
-CoreConfig core_config(const SessionConfig& config) {
-  CoreConfig cc;
-  cc.tree = config.tree;
-  cc.engine = config.engine;
-  cc.cache_capacity = config.cache_capacity;
-  cc.ldd = config.ldd;
-  return cc;
-}
-
-}  // namespace
-
 Session::Session(Graph g, StructuralCertificate certificate,
                  SessionConfig config)
     : core_(std::make_shared<const SolverCore>(
-          std::move(g), std::move(certificate), core_config(config))),
+          std::move(g), std::move(certificate), config)),
       execution_(config.execution),
       handle_(std::make_unique<SolveHandle>(core_, execution_)) {}
 
@@ -110,7 +97,7 @@ UpdateStats Session::update(const UpdateBatch& batch,
 }
 
 Session Session::restore(io::Snapshot snapshot, SessionConfig config) {
-  auto core = SolverCore::restore(std::move(snapshot), core_config(config));
+  auto core = SolverCore::restore(std::move(snapshot), config);
   return Session(std::move(core), std::move(config));
 }
 

@@ -59,18 +59,9 @@ struct Snapshot;  // io/snapshot.hpp
 
 namespace mns::congest {
 
-struct SessionConfig {
-  /// Roots the session spanning tree (built ONCE, reused by every build);
-  /// default center_tree_factory().
-  TreeFactory tree;
-  /// Construction engine; default &ShortcutEngine::global(). Must outlive
-  /// the session.
-  const ShortcutEngine* engine = nullptr;
-  /// Max cached shortcuts before LRU eviction.
-  std::size_t cache_capacity = 64;
-  /// Knobs for the core's low-diameter decomposition (the kLdd partition
-  /// source — core/ldd.hpp).
-  LddOptions ldd;
+/// The core's construction knobs (tree factory, cache capacity, LDD
+/// options) plus the default handle's execution policy.
+struct SessionConfig : CoreConfig {
   /// Default execution policy for every solve (overridable per solve via
   /// SolveOptions::threads).
   ExecutionPolicy execution;
@@ -86,7 +77,7 @@ class Session {
 
   /// Wraps an existing shared core (serving path): the session becomes one
   /// more client of `core`. Only `config.execution` applies — the core
-  /// already fixed tree/engine/capacity at its own construction.
+  /// already fixed its CoreConfig at its own construction.
   explicit Session(std::shared_ptr<const SolverCore> core,
                    SessionConfig config = {});
 
@@ -182,8 +173,7 @@ class Session {
   /// invalidates the cache (shortcuts are tree-restricted).
   void set_tree_factory(TreeFactory tree);
   /// The session spanning tree (built on first use, then reused by every
-  /// shortcut construction — unlike bare engine providers, which re-root
-  /// per invocation).
+  /// shortcut construction).
   [[nodiscard]] const RootedTree& tree() const { return core_->tree(); }
 
   /// Builds, validates, AND measures the current certificate's shortcut for

@@ -1,9 +1,9 @@
 // ShortcutSource: how the CONGEST workloads obtain shortcuts, and how
 // construction charging flows (DESIGN.md §2).
 //
-// A plain ShortcutProvider answers "give me the shortcut for this partition"
-// but says nothing about who pays for building it. A ShortcutSource answers
-// both: it returns the shortcut plus whether it was freshly constructed.
+// A ShortcutSource answers "give me the shortcut for this partition" and
+// "who pays for building it": it returns the shortcut plus whether it was
+// freshly constructed.
 // Workloads charge the [HIZ16a] construction substitution only for FRESH
 // shortcuts (recording the charge in their result's
 // charged_construction_rounds, never in the simulator's measured rounds), so
@@ -13,7 +13,6 @@
 
 #include <functional>
 #include <memory>
-#include <utility>
 
 #include "core/shortcut.hpp"
 
@@ -27,30 +26,18 @@ struct SourcedShortcut {
   bool fresh = true;
 };
 
-/// The hand-off point between the construction layer (Session's cache, or a
-/// bare engine provider) and the CONGEST workloads.
+/// The hand-off point between the construction layer (the SolverCore's
+/// cache, SolveHandle::make_source) and the CONGEST workloads.
 using ShortcutSource =
     std::function<SourcedShortcut(const Graph&, const Partition&)>;
 
-/// Adapts a plain provider: every invocation builds fresh (the uncached,
-/// charge-every-time path — what benches call a "cold" run).
-[[nodiscard]] inline ShortcutSource source_from_provider(
-    ShortcutProvider provider) {
-  return [provider = std::move(provider)](const Graph& g,
-                                          const Partition& parts) {
-    return SourcedShortcut{
-        std::make_shared<const Shortcut>(provider(g, parts)), true};
-  };
-}
-
 /// Source returning empty shortcuts (the flooding baseline, wrapping the
-/// core empty_shortcut_provider). Never fresh: nothing is constructed, so
-/// nothing is charged.
+/// core empty_shortcut). Never fresh: nothing is constructed, so nothing is
+/// charged.
 [[nodiscard]] inline ShortcutSource empty_shortcut_source() {
-  return [provider = empty_shortcut_provider()](const Graph& g,
-                                                const Partition& parts) {
-    return SourcedShortcut{std::make_shared<const Shortcut>(provider(g, parts)),
-                           false};
+  return [](const Graph&, const Partition& parts) {
+    return SourcedShortcut{
+        std::make_shared<const Shortcut>(empty_shortcut(parts)), false};
   };
 }
 

@@ -15,7 +15,6 @@ namespace {
 /// with and a successor built from it behaves identically.
 CoreConfig with_defaults(CoreConfig config) {
   if (!config.tree) config.tree = center_tree_factory();
-  if (config.engine == nullptr) config.engine = &ShortcutEngine::global();
   config.cache_capacity = std::max<std::size_t>(1, config.cache_capacity);
   return config;
 }
@@ -123,7 +122,7 @@ SolverCore::Acquired SolverCore::acquire(const Partition& parts,
     // must not serialize concurrent requests), then insert once.
     misses_.fetch_add(1, std::memory_order_relaxed);
     auto built = std::make_shared<const Shortcut>(
-        config_.engine->build_shortcut(*g_, tree(), parts, cert_));
+        engine().build_shortcut(*g_, tree(), parts, cert_));
     auto span = parts.part_of_all();
     std::size_t evicted = 0;
     {
@@ -135,12 +134,12 @@ SolverCore::Acquired SolverCore::acquire(const Partition& parts,
   }
   misses_.fetch_add(1, std::memory_order_relaxed);
   auto built = std::make_shared<const Shortcut>(
-      config_.engine->build_shortcut(*g_, tree(), parts, cert_));
+      engine().build_shortcut(*g_, tree(), parts, cert_));
   return Acquired{std::move(built), /*fresh=*/true, /*hit=*/false};
 }
 
 BuildResult SolverCore::analyze(const Partition& parts) const {
-  BuildResult out = config_.engine->build(*g_, tree(), parts, cert_);
+  BuildResult out = engine().build(*g_, tree(), parts, cert_);
   // Seed the cache so a following solve over the same partition hits
   // (counter-neutral: analysis is not query traffic).
   auto span = parts.part_of_all();

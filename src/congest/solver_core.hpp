@@ -71,15 +71,12 @@ struct UpdateStats {
   std::vector<EdgeId> edge_map;         ///< old id -> new id (structural only)
 };
 
-/// Construction-time knobs of a SolverCore (the immutable subset of the old
-/// SessionConfig: everything except the per-request execution policy).
+/// Construction-time knobs of a SolverCore. SessionConfig extends them with
+/// the per-request execution policy.
 struct CoreConfig {
   /// Roots the core's spanning tree (built ONCE, on first use, reused by
   /// every shortcut construction); default center_tree_factory().
   TreeFactory tree;
-  /// Construction engine; default &ShortcutEngine::global(). Must outlive
-  /// the core.
-  const ShortcutEngine* engine = nullptr;
   /// Max cached shortcuts before LRU eviction.
   std::size_t cache_capacity = 64;
   /// Knobs for the core's low-diameter decomposition (built ONCE, on first
@@ -144,7 +141,7 @@ class SolverCore {
   /// set_tree_factory) keeps every knob, the LDD options included.
   [[nodiscard]] const CoreConfig& config() const noexcept { return config_; }
   [[nodiscard]] const ShortcutEngine& engine() const noexcept {
-    return *config_.engine;
+    return ShortcutEngine::global();
   }
   /// The core spanning tree, built on first use (std::call_once — safe to
   /// race) and immutable afterwards.

@@ -201,7 +201,7 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
   require(source >= 0 && source < n, "approx_sssp: source out of range");
   require(static_cast<EdgeId>(w.size()) == g.num_edges(),
           "approx_sssp: weight size mismatch");
-  // The provider's spanning-tree factory (and Definition 10 itself) assumes
+  // The core's spanning-tree factory (and Definition 10 itself) assumes
   // one connected network, like distributed_bfs.
   require(is_connected(g), "approx_sssp: graph disconnected");
   const std::vector<Weight> w2 = round_weights(w, options.epsilon);

@@ -23,7 +23,7 @@
 //     scale phase as the wavefront outgrows the old cells — the same
 //     repeated re-partition access pattern as Boruvka, but weight-driven),
 //     and short Bellman-Ford bursts are interleaved with part-wise min
-//     aggregations over the provider's shortcut: each cell aggregates
+//     aggregations over the source's shortcut: each cell aggregates
 //     min_v(dist[v] + cdist[v]) (cdist = intra-cell distance to the cell
 //     seed) and every member u relaxes dist[u] <= min + cdist[u]. A jump
 //     propagates a distance across an entire cell in shortcut-quality many
@@ -51,10 +51,6 @@
 #include "graph/algorithms.hpp"
 
 namespace mns::congest {
-
-/// Re-exported from core/shortcut.hpp (as in mst.hpp):
-/// Session wraps one into the ShortcutSource the workloads consume.
-using ShortcutProvider = ::mns::ShortcutProvider;
 
 struct SsspResult {
   /// Weighted distance from the source under the (possibly rounded) weights;

@@ -14,9 +14,10 @@
 //                           Theorem 6 pipeline for L_k / excluded-minor
 //                           networks (via Theorem 3).
 //
-// ShortcutEngine dispatches on the certificate to the registered builder, so
-// new constructions (genus/vortex routes, dense-minor shortcuts, ...) plug in
-// as additional alternatives + builders without touching any call site.
+// ShortcutEngine visits the certificate and calls the matching construction,
+// so new constructions (genus/vortex routes, dense-minor shortcuts, ...) plug
+// in as one more alternative + one visitor overload without touching any
+// call site; a missing overload is a compile error.
 #pragma once
 
 #include <string>
@@ -68,9 +69,9 @@ using StructuralCertificate =
     std::variant<UniformCertificate, TreewidthCertificate, ApexCertificate,
                  CliqueSumCertificate>;
 
-/// Registry name of the builder this certificate dispatches to
+/// Name of the construction this certificate dispatches to
 /// ("uniform.greedy", "uniform.steiner", "uniform.ancestor", "treewidth",
-/// "apex", "cliquesum").
+/// "apex", "cliquesum"), for reports and error messages.
 [[nodiscard]] std::string builder_name_for(const StructuralCertificate& cert);
 
 // Shorthand constructors for the common cases.

@@ -1,9 +1,9 @@
 // Internal construction entry points: one free function per construction in
-// the paper. These are the implementations the ShortcutEngine's built-in
-// builders wrap — all code outside core/ goes through the engine
-// (certificate-dispatched, validated, measured); the one exception is the
-// parity suite in tests/test_shortcut_engine.cpp, which uses these as its
-// pre-refactor oracle.
+// the paper. ShortcutEngine::build_shortcut dispatches each certificate
+// alternative to one of these — all code outside core/ goes through the
+// engine (certificate-dispatched, validated, measured); the one exception is
+// the parity suite in tests/test_shortcut_engine.cpp, which uses these as
+// its pre-refactor oracle.
 //
 //   build_greedy / build_steiner / build_ancestor  — uniform constructions
 //     ([HIZ16a]-style; no structural knowledge, like the actual distributed

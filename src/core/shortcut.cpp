@@ -8,12 +8,10 @@
 
 namespace mns {
 
-ShortcutProvider empty_shortcut_provider() {
-  return [](const Graph&, const Partition& parts) {
-    Shortcut sc;
-    sc.edges_of_part.resize(parts.num_parts());
-    return sc;
-  };
+Shortcut empty_shortcut(const Partition& parts) {
+  Shortcut sc;
+  sc.edges_of_part.resize(parts.num_parts());
+  return sc;
 }
 
 std::string validate_tree_restricted(const Graph& g, const RootedTree& tree,

@@ -21,19 +21,14 @@ struct Shortcut {
   std::vector<std::vector<EdgeId>> edges_of_part;
 };
 
-/// The single hand-off point between the construction layer and the CONGEST
-/// layer: given the network and the current partition (e.g. this Boruvka
-/// phase's fragments), produce the shortcut to aggregate over.
-/// ShortcutEngine::provider() is the canonical way to obtain one.
-using ShortcutProvider = std::function<Shortcut(const Graph&, const Partition&)>;
-
-/// How a provider roots the spanning tree on each invocation.
+/// Roots a spanning tree of the network (CoreConfig::tree; the default is
+/// center_tree_factory() in core/shortcut_engine.hpp).
 using TreeFactory = std::function<RootedTree(const Graph&)>;
 
-/// Provider returning empty shortcuts (the no-shortcut flooding baseline):
-/// every part communicates over G[P_i] alone. Lives here, next to
-/// ShortcutProvider itself — it is a core concept, not an MST detail.
-[[nodiscard]] ShortcutProvider empty_shortcut_provider();
+/// The empty shortcut for `parts` (the no-shortcut flooding baseline): every
+/// part communicates over G[P_i] alone. Lives here, next to Shortcut itself
+/// — it is a core concept, not an MST detail.
+[[nodiscard]] Shortcut empty_shortcut(const Partition& parts);
 
 struct ShortcutMetrics {
   int congestion = 0;        ///< c: max parts per edge (Def 11)

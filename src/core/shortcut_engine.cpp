@@ -7,20 +7,6 @@
 
 namespace mns {
 
-namespace {
-
-template <typename Cert>
-const Cert& expect(const StructuralCertificate& cert, const char* builder) {
-  const Cert* c = std::get_if<Cert>(&cert);
-  if (c == nullptr)
-    throw InvariantViolation(std::string("ShortcutEngine: builder '") +
-                             builder +
-                             "' received a certificate of another kind");
-  return *c;
-}
-
-}  // namespace
-
 std::string builder_name_for(const StructuralCertificate& cert) {
   struct Visitor {
     std::string operator()(const UniformCertificate& u) const {
@@ -53,103 +39,11 @@ TreeFactory center_tree_factory(unsigned seed) {
   };
 }
 
-ShortcutEngine::ShortcutEngine() {
-  register_builder("uniform.greedy",
-                   [](const Graph& g, const RootedTree& t, const Partition& p,
-                      const StructuralCertificate& cert) {
-                     (void)expect<UniformCertificate>(cert, "uniform.greedy");
-                     return build_greedy_shortcut(g, t, p);
-                   });
-  register_builder("uniform.steiner",
-                   [](const Graph& g, const RootedTree& t, const Partition& p,
-                      const StructuralCertificate& cert) {
-                     (void)expect<UniformCertificate>(cert, "uniform.steiner");
-                     return build_steiner_shortcut(g, t, p);
-                   });
-  register_builder(
-      "uniform.ancestor",
-      [](const Graph& g, const RootedTree& t, const Partition& p,
-         const StructuralCertificate& cert) {
-        const auto& c = expect<UniformCertificate>(cert, "uniform.ancestor");
-        return build_ancestor_shortcut(g, t, p, c.levels);
-      });
-  register_builder(
-      "treewidth",
-      [](const Graph& g, const RootedTree& t, const Partition& p,
-         const StructuralCertificate& cert) {
-        const auto& c = expect<TreewidthCertificate>(cert, "treewidth");
-        return build_treewidth_shortcut(g, t, p, c.decomposition);
-      });
-  register_builder(
-      "apex", [](const Graph& g, const RootedTree& t, const Partition& p,
-                 const StructuralCertificate& cert) {
-        const auto& c = expect<ApexCertificate>(cert, "apex");
-        return build_apex_shortcut(g, t, p, c.apices, make_oracle(c.inner));
-      });
-  register_builder(
-      "cliquesum",
-      [](const Graph& g, const RootedTree& t, const Partition& p,
-         const StructuralCertificate& cert) {
-        const auto& c = expect<CliqueSumCertificate>(cert, "cliquesum");
-        CliqueSumShortcutOptions opt;
-        opt.fold = c.fold;
-        opt.local_oracle = c.apex_aware
-                               ? make_apex_oracle(make_oracle(c.local_oracle))
-                               : make_oracle(c.local_oracle);
-        opt.bag_apices = c.bag_apices;
-        return build_cliquesum_shortcut(g, t, p, c.decomposition,
-                                        std::move(opt));
-      });
-}
-
-void ShortcutEngine::register_builder(std::string name,
-                                      ShortcutBuilder builder) {
-  require(!name.empty(), "ShortcutEngine: empty builder name");
-  require(static_cast<bool>(builder), "ShortcutEngine: null builder");
-  auto [it, inserted] = builders_.emplace(std::move(name), std::move(builder));
-  if (!inserted)
-    throw InvariantViolation("ShortcutEngine: duplicate builder '" +
-                             it->first + "'");
-}
-
-bool ShortcutEngine::has_builder(std::string_view name) const {
-  return builders_.find(name) != builders_.end();
-}
-
-std::vector<std::string> ShortcutEngine::builder_names() const {
-  std::vector<std::string> out;
-  out.reserve(builders_.size());
-  for (const auto& [name, fn] : builders_) out.push_back(name);
-  return out;
-}
-
-const ShortcutBuilder& ShortcutEngine::find_builder(
-    std::string_view name) const {
-  auto it = builders_.find(name);
-  if (it == builders_.end())
-    throw InvariantViolation("ShortcutEngine: no builder named '" +
-                             std::string(name) + "'");
-  return it->second;
-}
-
 BuildResult ShortcutEngine::build(const Graph& g, const RootedTree& tree,
                                   const Partition& parts,
                                   const StructuralCertificate& cert) const {
-  return build_with(builder_name_for(cert), g, tree, parts, cert);
-}
-
-BuildResult ShortcutEngine::build_with(std::string_view name, const Graph& g,
-                                       const RootedTree& tree,
-                                       const Partition& parts,
-                                       const StructuralCertificate& cert) const {
-  const ShortcutBuilder& builder = find_builder(name);
   BuildResult out;
-  out.builder = std::string(name);
-  out.shortcut = builder(g, tree, parts, cert);
-  std::string err = validate_tree_restricted(g, tree, out.shortcut);
-  if (!err.empty())
-    throw InvariantViolation("ShortcutEngine: builder '" + out.builder +
-                             "' produced an invalid shortcut: " + err);
+  out.shortcut = build_shortcut(g, tree, parts, cert);
   out.metrics = measure_shortcut(g, tree, parts, out.shortcut);
   return out;
 }
@@ -157,32 +51,48 @@ BuildResult ShortcutEngine::build_with(std::string_view name, const Graph& g,
 Shortcut ShortcutEngine::build_shortcut(const Graph& g, const RootedTree& tree,
                                         const Partition& parts,
                                         const StructuralCertificate& cert) const {
-  std::string name = builder_name_for(cert);
-  Shortcut sc = find_builder(name)(g, tree, parts, cert);
+  require(parts.part_of_all().size() ==
+              static_cast<std::size_t>(g.num_vertices()),
+          "ShortcutEngine: partition size != vertex count");
+  struct Construct {
+    const Graph& g;
+    const RootedTree& t;
+    const Partition& p;
+    Shortcut operator()(const UniformCertificate& c) const {
+      switch (c.kind) {
+        case UniformCertificate::Kind::kGreedy:
+          return build_greedy_shortcut(g, t, p);
+        case UniformCertificate::Kind::kSteiner:
+          return build_steiner_shortcut(g, t, p);
+        case UniformCertificate::Kind::kAncestor:
+          return build_ancestor_shortcut(g, t, p, c.levels);
+      }
+      throw InvariantViolation("ShortcutEngine: unknown uniform kind");
+    }
+    Shortcut operator()(const TreewidthCertificate& c) const {
+      return build_treewidth_shortcut(g, t, p, c.decomposition);
+    }
+    Shortcut operator()(const ApexCertificate& c) const {
+      return build_apex_shortcut(g, t, p, c.apices, make_oracle(c.inner));
+    }
+    Shortcut operator()(const CliqueSumCertificate& c) const {
+      CliqueSumShortcutOptions opt;
+      opt.fold = c.fold;
+      opt.local_oracle = c.apex_aware
+                             ? make_apex_oracle(make_oracle(c.local_oracle))
+                             : make_oracle(c.local_oracle);
+      opt.bag_apices = c.bag_apices;
+      return build_cliquesum_shortcut(g, t, p, c.decomposition,
+                                      std::move(opt));
+    }
+  };
+  Shortcut sc = std::visit(Construct{g, tree, parts}, cert);
   std::string err = validate_tree_restricted(g, tree, sc);
   if (!err.empty())
-    throw InvariantViolation("ShortcutEngine: builder '" + name +
+    throw InvariantViolation("ShortcutEngine: builder '" +
+                             builder_name_for(cert) +
                              "' produced an invalid shortcut: " + err);
   return sc;
-}
-
-ShortcutProvider ShortcutEngine::provider(StructuralCertificate cert,
-                                          TreeFactory tree) const {
-  if (!tree) tree = center_tree_factory();
-  std::string name = builder_name_for(cert);
-  const ShortcutBuilder& builder = find_builder(name);
-  // The provider outlives this call; capture everything it needs by value.
-  return [cert = std::move(cert), tree = std::move(tree),
-          name = std::move(name),
-          builder](const Graph& g, const Partition& parts) {
-    RootedTree t = tree(g);
-    Shortcut sc = builder(g, t, parts, cert);
-    std::string err = validate_tree_restricted(g, t, sc);
-    if (!err.empty())
-      throw InvariantViolation("ShortcutEngine: builder '" + name +
-                               "' produced an invalid shortcut: " + err);
-    return sc;
-  };
 }
 
 const ShortcutEngine& ShortcutEngine::global() {

@@ -1,39 +1,26 @@
-// ShortcutEngine: the one polymorphic construction layer between structural
-// knowledge and the CONGEST algorithms.
+// ShortcutEngine: the one construction dispatch between structural knowledge
+// and the CONGEST algorithms.
 //
-// The engine owns a registry of named ShortcutBuilder strategies (the
-// built-ins cover every construction in the paper; follow-up constructions
-// register additional names), dispatches a StructuralCertificate to the
-// right builder, validates every result against Definition 10
-// (validate_tree_restricted) and measures it (measure_shortcut), and hands
-// the CONGEST layer a single ShortcutProvider. Benches, examples, and tests
-// all go through here — there is exactly one place where "certificate in,
-// shortcut out" happens.
+// build_shortcut() visits the StructuralCertificate, calls the matching
+// core/engine.hpp construction, and validates the result against
+// Definition 10 (validate_tree_restricted); build() also measures it
+// (measure_shortcut). A new construction is a new certificate alternative
+// plus one visitor overload — the std::visit does not compile until the
+// overload exists. SolverCore, benches, examples and tests all go through
+// here: there is exactly one place where "certificate in, shortcut out"
+// happens.
 #pragma once
-
-#include <map>
-#include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/certificate.hpp"
 #include "core/shortcut.hpp"
 
 namespace mns {
 
-/// A registered construction strategy. Builders receive the full certificate
-/// and std::get<> their own alternative; build()/build_with() report a clear
-/// error when certificate and builder disagree.
-using ShortcutBuilder =
-    std::function<Shortcut(const Graph&, const RootedTree&, const Partition&,
-                           const StructuralCertificate&)>;
-
 /// Every engine result is validated and measured — quality is observed, never
 /// assumed (the repo's core discipline).
 struct BuildResult {
   Shortcut shortcut;
   ShortcutMetrics metrics;
-  std::string builder;  ///< registry name that produced it
 };
 
 /// Default TreeFactory: BFS tree rooted near the approximate center
@@ -42,54 +29,21 @@ struct BuildResult {
 
 class ShortcutEngine {
  public:
-  /// Constructs with the built-in builders registered:
-  ///   uniform.greedy, uniform.steiner, uniform.ancestor   ([HIZ16a]-style)
-  ///   treewidth                                           (Theorem 5)
-  ///   apex                                                (Lemmas 9-10)
-  ///   cliquesum                                           (Theorems 6-7)
-  ShortcutEngine();
-
-  /// Registers a strategy. Throws InvariantViolation on empty or duplicate
-  /// names.
-  void register_builder(std::string name, ShortcutBuilder builder);
-
-  [[nodiscard]] bool has_builder(std::string_view name) const;
-  /// Sorted registry names.
-  [[nodiscard]] std::vector<std::string> builder_names() const;
-
-  /// Certificate-dispatched construction: picks the builder named by
-  /// builder_name_for(cert), builds, validates, measures.
+  /// build_shortcut(), then measure_shortcut().
   [[nodiscard]] BuildResult build(const Graph& g, const RootedTree& tree,
                                   const Partition& parts,
                                   const StructuralCertificate& cert) const;
 
-  /// Same but with an explicit registry name (ablations / overrides).
-  [[nodiscard]] BuildResult build_with(std::string_view name, const Graph& g,
-                                       const RootedTree& tree,
-                                       const Partition& parts,
-                                       const StructuralCertificate& cert) const;
-
-  /// Construction-only path (what provider() pays per invocation): dispatch
-  /// and validate, skip measuring. For callers that only need the shortcut.
+  /// Construction-only path: dispatch on `cert` (the constructions of
+  /// builder_name_for), then validate; skips measuring. Throws
+  /// InvariantViolation if `parts` does not map exactly g's vertices or the
+  /// construction emits an invalid shortcut.
   [[nodiscard]] Shortcut build_shortcut(const Graph& g, const RootedTree& tree,
                                         const Partition& parts,
                                         const StructuralCertificate& cert) const;
 
-  /// The hand-off to the CONGEST layer: a provider that re-roots a tree via
-  /// `tree` (default: center_tree_factory()) and rebuilds the certificate's
-  /// shortcut for whatever partition the caller is at (e.g. per Boruvka
-  /// phase). Results are validated; measuring is skipped on this hot path.
-  [[nodiscard]] ShortcutProvider provider(StructuralCertificate cert,
-                                          TreeFactory tree = {}) const;
-
-  /// Shared default-configured engine (the built-ins only). Register custom
-  /// builders on your own instance instead of mutating this one.
+  /// The shared engine (it holds no state).
   [[nodiscard]] static const ShortcutEngine& global();
-
- private:
-  [[nodiscard]] const ShortcutBuilder& find_builder(std::string_view name) const;
-
-  std::map<std::string, ShortcutBuilder, std::less<>> builders_;
 };
 
 }  // namespace mns

@@ -419,6 +419,27 @@ TEST(SessionCache, AggregateRejectsAPartitionOfAnotherSize) {
   EXPECT_EQ(ok.cache_misses, 1);
 }
 
+TEST(SessionCache, ConstructionRejectsAPartitionOfAnotherSize) {
+  // analyze() and acquire() reach the engine without solve()'s check: the
+  // engine itself must refuse a part map sized for another graph (longer:
+  // out-of-bounds reads; shorter: a bogus shortcut cached), and the session
+  // keeps answering well-formed requests.
+  Graph g = gen::grid(8, 8).graph();
+  Session s(g);
+  for (std::size_t size : {std::size_t{100}, std::size_t{10}}) {
+    const Partition wrong(std::vector<PartId>(size, 0));
+    EXPECT_THROW((void)s.analyze(wrong), InvariantViolation) << size;
+    EXPECT_THROW((void)s.core_ptr()->acquire(wrong, true), InvariantViolation)
+        << size;
+    EXPECT_EQ(s.cache_size(), 0u) << size;
+  }
+  Rng rng(5);
+  Partition parts = voronoi_partition(g, 5, rng);
+  BuildResult br = s.analyze(parts);
+  EXPECT_EQ(br.shortcut.edges_of_part.size(), 5u);
+  EXPECT_EQ(s.cache_size(), 1u);
+}
+
 TEST(SessionCache, EvictionCounterSurfacesChurnPressure) {
   Graph g = gen::grid(8, 8).graph();
   Rng rng(29);

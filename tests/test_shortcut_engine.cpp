@@ -1,12 +1,13 @@
-// ShortcutEngine tests: registry behavior, certificate dispatch, result
-// validation, and — the migration safety net — parity tests asserting that
-// every builder migrated behind the engine yields byte-identical shortcuts
-// and metrics to its pre-refactor free function on fixed-seed instances.
+// ShortcutEngine tests: certificate dispatch, the empty baseline shortcut,
+// and — the migration safety net — parity tests asserting that every
+// construction dispatched by the engine yields byte-identical shortcuts and
+// metrics to its pre-refactor free function on fixed-seed instances.
 // This file is the ONE deliberate caller of the core/engine.hpp free
 // functions outside core/: they are the parity oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "core/engine.hpp"
 #include "core/shortcut_engine.hpp"
@@ -45,99 +46,6 @@ void expect_same_metrics(const ShortcutMetrics& a, const ShortcutMetrics& b,
   EXPECT_EQ(a.block_of_part, b.block_of_part) << what;
 }
 
-// ---------------------------------------------------------------- registry
-
-TEST(ShortcutEngineRegistry, BuiltinsPresent) {
-  const ShortcutEngine& e = ShortcutEngine::global();
-  for (const char* name :
-       {"uniform.greedy", "uniform.steiner", "uniform.ancestor", "treewidth",
-        "apex", "cliquesum"})
-    EXPECT_TRUE(e.has_builder(name)) << name;
-  EXPECT_FALSE(e.has_builder("no-such-builder"));
-  EXPECT_EQ(e.builder_names().size(), 6u);
-}
-
-TEST(ShortcutEngineRegistry, RejectsDuplicateEmptyAndNull) {
-  ShortcutEngine e;
-  auto noop = [](const Graph&, const RootedTree&, const Partition& p,
-                 const StructuralCertificate&) {
-    Shortcut sc;
-    sc.edges_of_part.resize(p.num_parts());
-    return sc;
-  };
-  EXPECT_THROW(e.register_builder("uniform.greedy", noop), InvariantViolation);
-  EXPECT_THROW(e.register_builder("", noop), InvariantViolation);
-  EXPECT_THROW(e.register_builder("null", nullptr), InvariantViolation);
-  e.register_builder("custom.noop", noop);
-  EXPECT_TRUE(e.has_builder("custom.noop"));
-}
-
-TEST(ShortcutEngineRegistry, CustomBuilderReachableViaBuildWith) {
-  ShortcutEngine e;
-  e.register_builder("custom.empty",
-                     [](const Graph&, const RootedTree&, const Partition& p,
-                        const StructuralCertificate&) {
-                       Shortcut sc;
-                       sc.edges_of_part.resize(p.num_parts());
-                       return sc;
-                     });
-  Graph g = gen::cycle(8);
-  RootedTree t = bfs_tree(g, 0);
-  Partition p = Partition::from_parts(8, {{1, 2}, {5, 6}});
-  BuildResult r = e.build_with("custom.empty", g, t, p, greedy_certificate());
-  EXPECT_EQ(r.builder, "custom.empty");
-  EXPECT_EQ(r.metrics.congestion, 0);
-  EXPECT_EQ(r.metrics.block, 2);  // no edges: every vertex its own block
-}
-
-TEST(ShortcutEngineRegistry, UnknownNameThrows) {
-  Graph g = gen::cycle(6);
-  RootedTree t = bfs_tree(g, 0);
-  Partition p = Partition::from_parts(6, {{0, 1}});
-  EXPECT_THROW(ShortcutEngine::global().build_with("nope", g, t, p,
-                                                   greedy_certificate()),
-               InvariantViolation);
-}
-
-TEST(ShortcutEngineRegistry, CertificateKindMismatchThrows) {
-  // Dispatching a uniform certificate into the treewidth builder must fail
-  // loudly, not misbehave.
-  Graph g = gen::cycle(6);
-  RootedTree t = bfs_tree(g, 0);
-  Partition p = Partition::from_parts(6, {{0, 1}});
-  EXPECT_THROW(ShortcutEngine::global().build_with("treewidth", g, t, p,
-                                                   greedy_certificate()),
-               InvariantViolation);
-}
-
-TEST(ShortcutEngineRegistry, InvalidBuilderOutputRejected) {
-  // A builder that emits a non-tree edge must be caught by the engine's
-  // validation, whatever the builder claims.
-  ShortcutEngine e;
-  e.register_builder("custom.broken",
-                     [](const Graph& g, const RootedTree& t,
-                        const Partition& p, const StructuralCertificate&) {
-                       Shortcut sc;
-                       sc.edges_of_part.resize(p.num_parts());
-                       // Find a non-tree edge of the cycle and hand it out.
-                       for (EdgeId e2 = 0; e2 < g.num_edges(); ++e2) {
-                         bool is_tree = false;
-                         for (VertexId v = 0; v < g.num_vertices(); ++v)
-                           if (t.parent_edge(v) == e2) is_tree = true;
-                         if (!is_tree) {
-                           sc.edges_of_part[0].push_back(e2);
-                           break;
-                         }
-                       }
-                       return sc;
-                     });
-  Graph g = gen::cycle(8);
-  RootedTree t = bfs_tree(g, 0);
-  Partition p = Partition::from_parts(8, {{1, 2}});
-  EXPECT_THROW(e.build_with("custom.broken", g, t, p, greedy_certificate()),
-               InvariantViolation);
-}
-
 // ---------------------------------------------------------------- dispatch
 
 TEST(ShortcutEngineDispatch, NamesFollowCertificateKind) {
@@ -155,15 +63,25 @@ TEST(ShortcutEngineDispatch, NamesFollowCertificateKind) {
             "cliquesum");
 }
 
-TEST(ShortcutEngineDispatch, BuildReportsDispatchedBuilder) {
+TEST(ShortcutEngineDispatch, BuildMeasuresDispatchedShortcut) {
   Rng rng(2);
   Graph g = gen::grid(8, 8).graph();
   RootedTree t = bfs_tree(g, 0);
   Partition p = voronoi_partition(g, 5, rng);
   BuildResult r =
       ShortcutEngine::global().build(g, t, p, steiner_certificate());
-  EXPECT_EQ(r.builder, "uniform.steiner");
   EXPECT_EQ(r.metrics.block, 1);  // steiner: one block per part
+}
+
+TEST(ShortcutEngineDispatch, EmptyShortcutMeasuresAsNoShortcut) {
+  Graph g = gen::cycle(8);
+  RootedTree t = bfs_tree(g, 0);
+  Partition p = Partition::from_parts(8, {{1, 2}, {5, 6}});
+  Shortcut none = empty_shortcut(p);
+  ASSERT_EQ(none.edges_of_part.size(), 2u);
+  ShortcutMetrics m = measure_shortcut(g, t, p, none);
+  EXPECT_EQ(m.congestion, 0);
+  EXPECT_EQ(m.block, 2);  // no edges: every vertex its own block
 }
 
 // ------------------------------------------------------------------ parity
@@ -258,16 +176,23 @@ TEST(ShortcutEngineParity, CliqueSum) {
   RootedTree t = bfs_tree(cs.graph, 0);
   Partition p = voronoi_partition(cs.graph, 9, rng);
   for (bool fold : {true, false}) {
-    CliqueSumCertificate cert{cs.decomposition};
-    cert.fold = fold;
-    BuildResult r = ShortcutEngine::global().build(cs.graph, t, p, cert);
-    CliqueSumShortcutOptions o;
-    o.fold = fold;
-    Shortcut ref = build_cliquesum_shortcut(cs.graph, t, p, cs.decomposition,
-                                            std::move(o));
-    expect_same_shortcut(r.shortcut, ref, fold ? "folded" : "unfolded");
-    expect_same_metrics(r.metrics, measure_shortcut(cs.graph, t, p, ref),
-                        fold ? "folded" : "unfolded");
+    for (OracleKind local :
+         {OracleKind::kTrivial, OracleKind::kSteiner, OracleKind::kGreedy}) {
+      StructuralCertificate cert = cliquesum_certificate(cs.decomposition);
+      std::get<CliqueSumCertificate>(cert).fold = fold;
+      std::get<CliqueSumCertificate>(cert).local_oracle = local;
+      BuildResult r = ShortcutEngine::global().build(cs.graph, t, p, cert);
+      CliqueSumShortcutOptions o;
+      o.fold = fold;
+      o.local_oracle = make_oracle(local);
+      Shortcut ref = build_cliquesum_shortcut(cs.graph, t, p,
+                                              cs.decomposition, std::move(o));
+      const std::string what = std::string(fold ? "folded " : "unfolded ") +
+                               oracle_kind_name(local);
+      expect_same_shortcut(r.shortcut, ref, what.c_str());
+      expect_same_metrics(r.metrics, measure_shortcut(cs.graph, t, p, ref),
+                          what.c_str());
+    }
   }
 }
 
@@ -294,34 +219,6 @@ TEST(ShortcutEngineParity, CliqueSumApexAwarePipeline) {
   expect_same_shortcut(r.shortcut, ref, "pipeline");
   expect_same_metrics(r.metrics, measure_shortcut(s.graph, t, p, ref),
                       "pipeline");
-}
-
-// ---------------------------------------------------------------- provider
-
-TEST(ShortcutEngineProvider, MatchesDirectBuildOnCenterTree) {
-  Rng rng(11);
-  Graph g = gen::grid(10, 10).graph();
-  Partition p = voronoi_partition(g, 6, rng);
-  ShortcutProvider prov =
-      ShortcutEngine::global().provider(greedy_certificate());
-  Shortcut via_provider = prov(g, p);
-  RootedTree t = center_tree_factory()(g);
-  Shortcut direct =
-      ShortcutEngine::global().build(g, t, p, greedy_certificate()).shortcut;
-  expect_same_shortcut(via_provider, direct, "provider");
-}
-
-TEST(ShortcutEngineProvider, RespectsCustomTreeFactory) {
-  Graph g = gen::wheel(50);
-  Partition p = ring_sectors(50, 1, 49, 4);
-  // Root the tree at the hub: the provider must use it (hub tree = star, so
-  // every shortcut edge is a spoke = parent edge of a ring vertex).
-  ShortcutProvider prov = ShortcutEngine::global().provider(
-      steiner_certificate(),
-      [](const Graph& gg) { return RootedTree::from_bfs(bfs(gg, 0), 0); });
-  Shortcut sc = prov(g, p);
-  RootedTree hub_tree = RootedTree::from_bfs(bfs(g, 0), 0);
-  EXPECT_EQ(validate_tree_restricted(g, hub_tree, sc), "");
 }
 
 }  // namespace
