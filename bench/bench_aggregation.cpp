@@ -124,5 +124,5 @@ int main() {
         .set("construction_rounds", construction)
         .set("rounds", res.rounds).set("messages", sim.messages_sent());
   }
-  return 0;
+  return report.write() ? 0 : 1;
 }

@@ -63,5 +63,5 @@ int main() {
     std::snprintf(label, sizeof label, "SP clique-sum x%d", regions);
     run_case(report, label, r.graph, w);
   }
-  return 0;
+  return report.write() ? 0 : 1;
 }

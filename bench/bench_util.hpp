@@ -1,6 +1,6 @@
 // Shared helpers for the experiment harnesses (DESIGN.md §6). Each bench
-// binary prints a self-contained table regenerating one claim of the paper;
-// they are deterministic (fixed seeds) so EXPERIMENTS.md numbers reproduce.
+// binary answers one question with a self-contained table; they are
+// deterministic (fixed seeds), so bench/baselines/ can pin their rows.
 //
 // All workload traffic goes through congest::Session (the one solver API;
 // shortcut construction dispatches on its certificate through ShortcutEngine
@@ -46,14 +46,6 @@ namespace mns::bench {
 #else
   return 0;
 #endif
-}
-
-/// The engine every harness dispatches through.
-inline const ShortcutEngine& engine() { return ShortcutEngine::global(); }
-
-/// BFS tree rooted near the graph center (height <= D).
-inline RootedTree center_tree(const Graph& g, unsigned seed = 1) {
-  return center_tree_factory(seed)(g);
 }
 
 /// A Session over a copy of `g` with the given structural knowledge, rooted
@@ -123,6 +115,13 @@ class JsonRow {
         .set("cache_hits", r.cache_hits)
         .set("cache_misses", r.cache_misses)
         .set("wall_ms", r.wall_ms);
+  }
+
+  /// (key, rendered value) pairs in the order they were set; string values
+  /// are JSON-quoted.
+  [[nodiscard]] const std::vector<std::pair<std::string, std::string>>&
+  fields() const {
+    return fields_;
   }
 
   [[nodiscard]] std::string rendered() const {
@@ -217,20 +216,5 @@ class JsonReport {
   std::vector<JsonRow> rows_;
   bool written_ = false;
 };
-
-/// Prints one row of shortcut metrics.
-inline void metrics_row(const char* family, int n, const char* method,
-                        const ShortcutMetrics& m) {
-  std::printf("%-22s %7d  %-18s  d_T=%5d  b=%4d  c=%5d  q=%7lld\n", family, n,
-              method, m.tree_diameter, m.block, m.congestion, m.quality);
-}
-
-/// Prints AND records one row of shortcut metrics.
-inline void metrics_row(JsonReport& report, const char* family, int n,
-                        const char* method, const ShortcutMetrics& m) {
-  metrics_row(family, n, method, m);
-  report.row().set("family", family).set("n", n).set("method", method)
-      .set_metrics(m);
-}
 
 }  // namespace mns::bench

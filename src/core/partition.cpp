@@ -73,6 +73,8 @@ Partition ring_sectors(VertexId n, VertexId first, VertexId count,
                        int sectors) {
   if (sectors < 1 || count < sectors)
     throw std::invalid_argument("ring_sectors: bad sector count");
+  if (first < 0 || first > n || count > n - first)
+    throw std::invalid_argument("ring_sectors: range outside [0, n)");
   std::vector<PartId> part_of(n, kNoPart);
   for (VertexId i = 0; i < count; ++i)
     part_of[first + i] =

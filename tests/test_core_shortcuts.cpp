@@ -67,6 +67,8 @@ TEST(Partition, RingSectorsOnWheel) {
   EXPECT_EQ(p.part_of(0), kNoPart);  // hub unassigned
   Graph w = gen::wheel(9);
   EXPECT_EQ(p.validate(w), "");
+  EXPECT_THROW((void)ring_sectors(10, 5, 8, 2), std::invalid_argument);
+  EXPECT_THROW((void)ring_sectors(10, -1, 8, 2), std::invalid_argument);
 }
 
 TEST(Partition, GridStripes) {
