@@ -970,6 +970,7 @@ bool is_volatile_key(const std::string& key) {
          // (rounds_exchanged, wire_records) stay gated.
          key == "retransmits" || key == "datagrams_sent" ||
          key == "datagrams_received" || key == "acks_sent" ||
+         key == "datagrams_rejected" ||
          key.rfind("faults_", 0) == 0 ||
          key.find("wall_ms") != std::string::npos;
 }

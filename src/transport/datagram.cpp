@@ -91,27 +91,31 @@ void UdpTransport::send(int to_rank, std::span<const std::uint8_t> datagram) {
 }
 
 bool UdpTransport::receive(std::vector<std::uint8_t>& out, int timeout_ms) {
-  pollfd pfd{};
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
+  // Try the socket before polling it: a datagram that is already queued
+  // costs one syscall, and a drain (timeout 0) ends at the first EAGAIN.
+  out.resize(kMaxDatagramBytes);
+  bool polled = false;
   for (;;) {
+    const ssize_t n = ::recvfrom(fd_, out.data(), out.size(), MSG_DONTWAIT,
+                                 nullptr, nullptr);
+    if (n >= 0) {
+      out.resize(static_cast<std::size_t>(n));
+      return true;
+    }
+    if (errno == EINTR || errno == ECONNREFUSED) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK)
+      throw TransportError(errno_text("UdpTransport: recvfrom"));
+    if (timeout_ms == 0 || polled) return false;
+    pollfd pfd{};
+    pfd.fd = fd_;
+    pfd.events = POLLIN;
     const int ready = ::poll(&pfd, 1, timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;
       throw TransportError(errno_text("UdpTransport: poll"));
     }
     if (ready == 0) return false;
-    out.resize(kMaxDatagramBytes);
-    const ssize_t n = ::recvfrom(fd_, out.data(), out.size(), 0, nullptr,
-                                 nullptr);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK ||
-          errno == ECONNREFUSED)
-        continue;
-      throw TransportError(errno_text("UdpTransport: recvfrom"));
-    }
-    out.resize(static_cast<std::size_t>(n));
-    return true;
+    polled = true;
   }
 }
 

@@ -4,38 +4,45 @@
 //
 // Reliability discipline (per ordered peer pair, both directions):
 //   * every DATA / FENCE / CTRL packet carries a link-local sequence number
-//     (seq 1, 2, ...); the receiver delivers strictly in order, buffers
-//     out-of-order arrivals, and answers every reliable packet with a
-//     cumulative ACK;
+//     (seq 1, 2, ...) and a cumulative ACK of the reverse link; the
+//     receiver delivers strictly in order and buffers out-of-order arrivals
+//     that fall inside the window (anything further ahead is dropped);
 //   * the sender keeps at most `window` unacked packets in flight (excess
 //     is queued and pumped as ACKs arrive) and retransmits a packet whose
 //     ACK is overdue, with exponential backoff from initial_timeout_ms to
 //     max_timeout_ms;
-//   * duplicates (retransmit races, injected faults) are detected by seq
-//     and re-ACKed, never re-delivered.
+//   * ACKs ride on the next reliable packet to the peer. A standalone ACK
+//     goes out only for a duplicate that no reliable packet has acked yet,
+//     for a CTRL packet, and when half a window of received packets is
+//     unacked; duplicates are never re-delivered.
 //
-// Round-barrier protocol: exchange(R) sends this rank's authoritative
-// cut-edge records for round R (DATA packets, batched), then a FENCE(R) to
-// EVERY peer — also when there is no data, so the fence doubles as the
-// lock-step barrier. Because links are reliable and ordered, receiving
-// FENCE(R) from a peer proves all of that peer's round-R records arrived.
-// The call returns once every peer's fence arrived and every expected
-// record was substituted into the round's payload buffer; a record whose
-// slot matches nothing this replica computed (or arrives twice) is replica
-// divergence and throws TransportError.
+// Round barrier: exchange(R) walks the canonical batch once, writes this
+// rank's authoritative cut-edge records for each peer into that peer's
+// open packet, and closes every peer's last packet of the round as a
+// FENCE(R) — also when it holds no records, so a clean round costs one
+// datagram per peer and the fence doubles as the lock-step barrier.
+// Because links are reliable and ordered, receiving FENCE(R) from a peer
+// proves all of that peer's round-R records arrived. Both replicas
+// enumerate the same batch, so the records from peer p arrive in the batch
+// order of this rank's expected entries from p and are matched by one
+// cursor per peer: a record for another slot, a record past the last
+// expected entry, a fence before the last one, or traffic stamped with
+// another round is replica divergence and throws TransportError.
 //
 // The vertex-range partition: rank r owns the contiguous range
 // [n*r/ranks, n*(r+1)/ranks). A message is wire traffic iff its sender's
 // owner differs from its receiver's owner; the sender's owner transmits,
 // the receiver's owner substitutes the wire bytes into its inbox buffer
 // (transport.hpp documents the replicated-computation model this slots
-// into).
+// into). Both owners of every directed slot are tabulated once, at
+// construction.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -48,6 +55,7 @@ struct SocketTransportConfig {
   int rank = 0;
   int ranks = 1;
   /// Per-peer unacked-packet cap; excess packets queue until ACKs arrive.
+  /// A received packet this far or further ahead of delivery is dropped.
   int window = 64;
   /// First retransmit fires after this long without an ACK ...
   int initial_timeout_ms = 2;
@@ -60,8 +68,14 @@ struct SocketTransportConfig {
 
 class SocketTransport final : public Transport {
  public:
-  /// `graph` re-derives each packed slot's sender endpoint and must equal
-  /// every peer's graph (replicated construction from one seed/snapshot).
+  /// Largest cluster: packets carry from_rank, and the routing table each
+  /// owner rank, in one byte.
+  static constexpr int kMaxRanks = 256;
+
+  /// `graph` is read once, to tabulate the owners of every packed slot's
+  /// endpoints, and must equal every peer's graph (replicated construction
+  /// from one seed/snapshot). Throws TransportError for more than kMaxRanks
+  /// ranks, a rank outside [0, ranks), or a bad window/timeout setting.
   SocketTransport(const Graph& graph, SocketTransportConfig config,
                   std::unique_ptr<DatagramTransport> net);
   ~SocketTransport() override;
@@ -91,50 +105,78 @@ class SocketTransport final : public Transport {
   void shutdown(int grace_ms = 100);
 
  private:
+  using Bytes = std::vector<std::uint8_t>;
+
   struct SentPacket {
     std::uint64_t seq;
-    std::vector<std::uint8_t> bytes;
+    Bytes bytes;
     std::int64_t deadline_ms;  ///< steady-clock ms of the next retransmit
     int timeout_ms;
   };
-  /// One delivered (in-order) reliable packet awaiting consumption.
+  /// One delivered (in-order) reliable packet awaiting consumption: the
+  /// datagram exactly as received, header included.
   struct Inbound {
     std::uint8_t type;
+    std::uint16_t count;
     std::int64_t round;  ///< DATA/FENCE round; CTRL tag
-    std::vector<std::uint32_t> slots;
-    std::vector<congest::Message> payloads;
-    std::uint64_t ctrl_value = 0;
+    Bytes bytes;
   };
   struct Link {
     // send side
     std::uint64_t next_seq = 1;
-    std::uint64_t cum_acked = 0;
     std::deque<SentPacket> inflight;
     std::deque<SentPacket> queued;  ///< built + seq'd, awaiting window space
+    Bytes open;  ///< packet being filled: header space, then records
+    std::uint16_t open_count = 0;
     // receive side
     std::uint64_t next_expected = 1;
-    std::map<std::uint64_t, Inbound> out_of_order;
+    std::uint64_t ack_told = 0;      ///< highest ACK sent, in any packet
+    std::uint64_t ack_reliable = 0;  ///< highest ACK on a reliable packet
+    bool ack_due = false;            ///< owe a standalone ACK this drain
+    std::map<std::uint64_t, Inbound> out_of_order;  ///< < window entries
     std::deque<Inbound> ready;  ///< in-order, not yet consumed
+    // the round being matched
+    std::vector<std::uint32_t> expected;  ///< batch indices, batch order
+    std::size_t cursor = 0;
+    bool fenced = false;
+  };
+  /// Owner ranks of a directed slot's sender and receiver.
+  struct Route {
+    std::uint8_t from;
+    std::uint8_t to;
   };
 
+  /// Seals `bytes` (header space + `count` records) as the next packet to
+  /// `peer` and sends it, or queues it while the window is full.
   void send_reliable(int peer, std::uint8_t type, std::int64_t round,
-                     std::vector<std::uint8_t> body, std::uint16_t count);
+                     Bytes bytes, std::uint16_t count);
+  /// Sends `peer`'s open packet of `round` as `type` and opens a new one.
+  void send_open(int peer, std::uint8_t type, std::int64_t round);
   void transmit(int peer, SentPacket& packet);
   void pump(int peer);
-  void send_ack(int peer);
+  void flush_acks();
   void retransmit_due();
   /// Waits up to the next retransmit deadline for one datagram and folds it
-  /// into the link state. Returns true if anything was received.
+  /// and everything already queued behind it into the link state. Returns
+  /// true if anything was received.
   bool poll_once();
-  void handle_datagram(std::span<const std::uint8_t> bytes);
+  /// Folds the datagram in recv_buf_ into the link state, or rejects it.
+  void handle_datagram();
+  /// Consumes `peer`'s delivered packets of `traffic`'s round up to its
+  /// fence, substituting each record; returns true once the fence is in.
+  bool absorb(int peer, const RoundTraffic& traffic);
+  [[noreturn]] void diverged(int peer, const std::string& what) const;
+  Bytes take_buffer();
+  void recycle(Bytes&& bytes);
   [[nodiscard]] std::int64_t now_ms() const;
 
-  const Graph* g_;
   SocketTransportConfig config_;
   std::unique_ptr<DatagramTransport> net_;
-  std::vector<VertexId> range_begin_;  ///< ranks+1 ownership boundaries
-  std::vector<Link> links_;            ///< indexed by rank (self unused)
-  std::vector<std::uint8_t> recv_buf_;
+  long long num_vertices_;
+  std::vector<Route> route_;  ///< indexed by packed directed slot
+  std::vector<Link> links_;   ///< indexed by rank (self unused)
+  Bytes recv_buf_;
+  std::vector<Bytes> spare_;  ///< datagram buffers reused across rounds
   std::int64_t last_receipt_ms_ = 0;
   TransportStats stats_;
 };

@@ -70,8 +70,12 @@ struct TransportStats {
   long long wire_records = 0;      ///< * unique cut-edge records sent
   long long datagrams_sent = 0;    ///< incl. retransmits + acks
   long long datagrams_received = 0;
-  long long acks_sent = 0;
+  long long acks_sent = 0;         ///< standalone ACKs (others piggyback)
   long long retransmits = 0;       ///< timed-out packets resent
+  /// Datagrams dropped unread: bad magic or shape, a foreign or own
+  /// from_rank, a sequence number at or past the receive window, or an ACK
+  /// of a packet never sent.
+  long long datagrams_rejected = 0;
   long long faults_dropped = 0;    ///< injected by FaultInjectingTransport
   long long faults_duplicated = 0;
   long long faults_held = 0;       ///< delayed/reordered datagrams

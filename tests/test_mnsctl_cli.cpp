@@ -110,4 +110,37 @@ TEST(MnsctlCli, WellFormedGenSolveDiffRoundTripExitsZero) {
   EXPECT_EQ(ldd.exit_code, 0) << ldd.output;
 }
 
+TEST(MnsctlCli, BaselineDiffMasksTransportDeliveryCounters) {
+  if (std::getenv("MNSCTL_BIN") == nullptr)
+    GTEST_SKIP() << "MNSCTL_BIN not set (examples not built)";
+  // Delivery counters depend on timing and on what the network threw at a
+  // rank; the canonical traffic counters stay gated.
+  const std::string dir = ::testing::TempDir() + "mnsctl_cli_transport";
+  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  const auto write = [&](const std::string& name, const std::string& json) {
+    FILE* f = std::fopen((dir + "/" + name).c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(json.c_str(), f);
+    std::fclose(f);
+  };
+  write("ref.json",
+        R"({"rounds_exchanged": 40, "wire_records": 90, "acks_sent": 0,)"
+        R"( "retransmits": 0, "datagrams_sent": 80,)"
+        R"( "datagrams_rejected": 0})");
+  write("noisy.json",
+        R"({"rounds_exchanged": 40, "wire_records": 90, "acks_sent": 3,)"
+        R"( "retransmits": 5, "datagrams_sent": 97,)"
+        R"( "datagrams_rejected": 1000})");
+  write("drift.json",
+        R"({"rounds_exchanged": 41, "wire_records": 90, "acks_sent": 0,)"
+        R"( "retransmits": 0, "datagrams_sent": 80,)"
+        R"( "datagrams_rejected": 0})");
+  const CliResult noisy = run_mnsctl("diff --baseline " + dir + "/ref.json " +
+                                     dir + "/noisy.json");
+  EXPECT_EQ(noisy.exit_code, 0) << noisy.output;
+  const CliResult drift = run_mnsctl("diff --baseline " + dir + "/ref.json " +
+                                     dir + "/drift.json");
+  EXPECT_EQ(drift.exit_code, 1) << drift.output;
+}
+
 }  // namespace

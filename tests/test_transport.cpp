@@ -5,6 +5,9 @@
 // must produce RunReports bit-identical (io::run_reports_identical) to the
 // single-process reference, on every certificate family, for mst and
 // sssp.approx, including under seeded drop/dup/reorder fault injection.
+// Clean rounds must cost one datagram per peer. The error paths are driven
+// too: forged datagrams, replicas whose batches disagree, a silent peer and
+// a cluster wider than the one-byte rank field.
 //
 // Each loopback rank runs on its own thread (exchange() blocks on peer
 // fences); the `parallel` ctest label puts this file in the TSan job, so
@@ -13,7 +16,10 @@
 // detector too.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,16 +94,15 @@ RunReport reference_solve(const FamilyCase& fam, const std::string& workload,
   return session.solve(workload, params, SolveOptions{});
 }
 
-/// Runs `workload` on `ranks` lock-step replicas wired by a loopback socket
-/// cluster (one thread per rank) and returns every rank's report.
-/// Exceptions inside a rank thread surface as test failures via `errors`.
-std::vector<RunReport> distributed_solve(
+/// Runs `workload` on the lock-step replicas of `cluster` (one thread per
+/// rank) and returns every rank's report. Exceptions inside a rank thread
+/// surface as test failures via `errors`.
+std::vector<RunReport> solve_on_cluster(
     const FamilyCase& fam, const std::string& workload,
-    const WorkloadParams& params, int ranks, const FaultConfig& faults,
+    const WorkloadParams& params,
+    std::vector<std::unique_ptr<SocketTransport>>& cluster,
     std::vector<TransportStats>* stats_out = nullptr) {
-  auto cluster = transport::make_loopback_cluster(fam.graph, ranks,
-                                                  SocketTransportConfig{},
-                                                  faults);
+  const int ranks = static_cast<int>(cluster.size());
   std::vector<RunReport> reports(static_cast<std::size_t>(ranks));
   std::vector<std::string> errors(static_cast<std::size_t>(ranks));
   std::vector<std::thread> threads;
@@ -126,6 +131,17 @@ std::vector<RunReport> distributed_solve(
       stats_out->push_back(cluster[static_cast<std::size_t>(r)]->stats());
   }
   return reports;
+}
+
+/// solve_on_cluster over a fresh loopback cluster of `ranks`.
+std::vector<RunReport> distributed_solve(
+    const FamilyCase& fam, const std::string& workload,
+    const WorkloadParams& params, int ranks, const FaultConfig& faults,
+    std::vector<TransportStats>* stats_out = nullptr) {
+  auto cluster = transport::make_loopback_cluster(fam.graph, ranks,
+                                                  SocketTransportConfig{},
+                                                  faults);
+  return solve_on_cluster(fam, workload, params, cluster, stats_out);
 }
 
 // ------------------------------------------------------------- in-process --
@@ -177,6 +193,20 @@ TEST(TransportParity, TwoSocketRanksBitIdenticalOnEveryFamily) {
       EXPECT_EQ(stats[0].rounds_exchanged, stats[1].rounds_exchanged);
       EXPECT_GT(stats[0].rounds_exchanged, 0);
       EXPECT_GT(stats[0].wire_records + stats[1].wire_records, 0);
+      for (std::size_t r = 0; r < stats.size(); ++r) {
+        SCOPED_TRACE("rank " + std::to_string(r));
+        const TransportStats& st = stats[r];
+        // One datagram per peer per round on clean links: the fence rides
+        // on the round's last DATA packet, so only rounds that overflow a
+        // 64-record packet send more than one...
+        EXPECT_LE(st.datagrams_sent - st.acks_sent - st.retransmits,
+                  st.rounds_exchanged * (2 - 1) + (st.wire_records + 63) / 64);
+        // ...and ACKs ride on those packets: a standalone ACK only answers
+        // a duplicate, and on clean links every duplicate is one of the
+        // peer's retransmits.
+        EXPECT_LE(st.acks_sent, stats[1 - r].retransmits);
+        EXPECT_EQ(st.datagrams_rejected, 0);
+      }
     }
   }
 }
@@ -234,6 +264,260 @@ TEST(TransportFaults, SeededDropDupReorderConvergesToIdenticalReports) {
       }
     }
   }
+}
+
+// ------------------------------------------------- untrusted datagrams --
+
+/// Decorates rank 0's datagram layer: every other receive() serves a forged
+/// datagram ahead of the real traffic, `far_future` DATA packets from rank 1
+/// whose sequence number lies far past any receive window, then `per_kind`
+/// each of four other malformed kinds. Wire layout per DESIGN.md §11.
+class ForgingTransport final : public transport::DatagramTransport {
+ public:
+  ForgingTransport(std::unique_ptr<transport::DatagramTransport> inner,
+                   int far_future, int per_kind)
+      : inner_(std::move(inner)), far_future_(far_future),
+        per_kind_(per_kind) {}
+
+  void send(int to_rank, std::span<const std::uint8_t> datagram) override {
+    inner_->send(to_rank, datagram);
+  }
+
+  bool receive(std::vector<std::uint8_t>& out, int timeout_ms) override {
+    if (forged_ < total() && calls_++ % 2 == 0) {
+      forge(out);
+      ++forged_;
+      return true;
+    }
+    return inner_->receive(out, timeout_ms);
+  }
+
+  [[nodiscard]] int total() const { return far_future_ + 4 * per_kind_; }
+
+ private:
+  static void put(std::vector<std::uint8_t>& out, std::size_t at,
+                  std::uint64_t x, int bytes) {
+    for (int b = 0; b < bytes; ++b)
+      out[at + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(x >> (8 * b));
+  }
+
+  void forge(std::vector<std::uint8_t>& out) const {
+    // A valid-looking 32-byte header: magic "MNS2", DATA, from rank 1, no
+    // records, seq, ack 0, round 1.
+    out.assign(32, 0);
+    put(out, 0, 0x324e534d, 4);
+    out[4] = 1;
+    out[5] = 1;
+    put(out, 8, std::uint64_t{1} << 40, 8);
+    put(out, 24, 1, 8);
+    if (forged_ < far_future_) return;
+    switch ((forged_ - far_future_) % 4) {
+      case 0: out.resize(3); break;                    // short
+      case 1: put(out, 0, 0x314e534d, 4); break;       // old "MNS1" magic
+      case 2: out[5] = 0; put(out, 8, 1, 8); break;    // own rank
+      default: put(out, 8, 1, 8); put(out, 16, std::uint64_t{1} << 40, 8);
+    }                                                  // ACK of unsent seq
+  }
+
+  std::unique_ptr<transport::DatagramTransport> inner_;
+  int far_future_;
+  int per_kind_;
+  int forged_ = 0;
+  long long calls_ = 0;
+};
+
+TEST(TransportUntrusted, ForgedDatagramsAreRejectedAndCounted) {
+  FamilyCase fam{"grid", gen::grid(7, 7).graph(), greedy_certificate()};
+  Rng wrng(43);
+  WorkloadParams params = params_for(fam.graph, wrng);
+  RunReport ref = reference_solve(fam, "mst", params);
+
+  std::vector<std::unique_ptr<transport::UdpTransport>> sockets;
+  std::vector<transport::PeerAddress> peers;
+  for (int r = 0; r < 2; ++r) {
+    sockets.push_back(std::make_unique<transport::UdpTransport>());
+    peers.push_back({"127.0.0.1", sockets.back()->port()});
+  }
+  for (auto& socket : sockets) socket->set_peers(peers);
+  auto forging =
+      std::make_unique<ForgingTransport>(std::move(sockets[0]), 1000, 25);
+  const int injected = forging->total();
+  std::vector<std::unique_ptr<SocketTransport>> cluster;
+  for (int r = 0; r < 2; ++r) {
+    SocketTransportConfig cfg;
+    cfg.rank = r;
+    cfg.ranks = 2;
+    std::unique_ptr<transport::DatagramTransport> net;
+    if (r == 0)
+      net = std::move(forging);
+    else
+      net = std::move(sockets[1]);
+    cluster.push_back(
+        std::make_unique<SocketTransport>(fam.graph, cfg, std::move(net)));
+  }
+
+  std::vector<TransportStats> stats;
+  std::vector<RunReport> reports =
+      solve_on_cluster(fam, "mst", params, cluster, &stats);
+  for (std::size_t r = 0; r < reports.size(); ++r)
+    EXPECT_TRUE(io::run_reports_identical(reports[r], ref)) << "rank " << r;
+  // Every forgery was dropped unread; none reached the link state (which
+  // would have wedged or diverged the solve above).
+  EXPECT_GE(stats[0].datagrams_rejected, injected);
+  EXPECT_EQ(stats[1].datagrams_rejected, 0);
+}
+
+// ---------------------------------------------------------- divergence --
+
+/// A hand-built round: the canonical batch one replica hands exchange().
+struct Batch {
+  std::vector<VertexId> to;
+  std::vector<std::uint32_t> slot;
+  std::vector<congest::Message> payload;
+
+  void add(const Graph& g, VertexId from, VertexId dest, std::int64_t value) {
+    const EdgeId e = g.find_edge(from, dest);
+    to.push_back(dest);
+    slot.push_back(static_cast<std::uint32_t>(2 * e) +
+                   (g.edge(e).u == from ? 0u : 1u));
+    congest::Message m;
+    m.value = value;
+    payload.push_back(m);
+  }
+};
+
+/// Runs one exchange() per rank of a 2-rank loopback cluster on the 4-cycle
+/// (rank 0 owns {0, 1}, rank 1 owns {2, 3}; cut edges 1-2 and 0-3), rank r
+/// with `batches[r]` in round `rounds[r]`. Returns each rank's
+/// TransportError text, empty when exchange() returned.
+std::vector<std::string> exchange_once(
+    const Graph& g, std::vector<Batch>& batches,
+    const std::vector<long long>& rounds = {1, 1}) {
+  SocketTransportConfig cfg;
+  cfg.stall_timeout_ms = 5000;  // a regression fails instead of hanging
+  auto cluster = transport::make_loopback_cluster(g, 2, cfg);
+  std::vector<std::string> errors(2);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 2; ++r)
+    threads.emplace_back([&, r] {
+      const auto rank = static_cast<std::size_t>(r);
+      transport::RoundTraffic traffic;
+      traffic.round = rounds[rank];
+      traffic.to = batches[rank].to;
+      traffic.slot = batches[rank].slot;
+      traffic.payload = batches[rank].payload;
+      try {
+        cluster[rank]->exchange(traffic);
+      } catch (const transport::TransportError& e) {
+        errors[rank] = e.what();
+      }
+    });
+  for (std::thread& t : threads) t.join();
+  return errors;
+}
+
+bool diverged(const std::string& error) {
+  return error.find("replica divergence") != std::string::npos;
+}
+
+TEST(TransportDivergence, AgreeingBatchesTakeTheSendersBytes) {
+  Graph g = gen::cycle(4);
+  std::vector<Batch> batches(2);
+  batches[0].add(g, 1, 2, 12);
+  batches[0].add(g, 0, 3, 3);
+  batches[1].add(g, 1, 2, -1);  // rank 1's local bytes for rank 0's sends
+  batches[1].add(g, 0, 3, -1);
+  std::vector<std::string> errors = exchange_once(g, batches);
+  EXPECT_EQ(errors[0], "");
+  EXPECT_EQ(errors[1], "");
+  // The receiving owner substituted the sending owner's wire bytes.
+  EXPECT_EQ(batches[1].payload[0].value, 12);
+  EXPECT_EQ(batches[1].payload[1].value, 3);
+  EXPECT_EQ(batches[0].payload[0].value, 12);
+}
+
+TEST(TransportDivergence, ExtraRecord) {
+  Graph g = gen::cycle(4);
+  std::vector<Batch> batches(2);
+  batches[0].add(g, 1, 2, 12);
+  batches[0].add(g, 0, 3, 3);
+  batches[1].add(g, 1, 2, 12);  // rank 1 never computed the 0 -> 3 send
+  std::vector<std::string> errors = exchange_once(g, batches);
+  EXPECT_EQ(errors[0], "");
+  EXPECT_TRUE(diverged(errors[1])) << errors[1];
+}
+
+TEST(TransportDivergence, MissingRecord) {
+  Graph g = gen::cycle(4);
+  std::vector<Batch> batches(2);
+  batches[0].add(g, 1, 2, 12);
+  batches[1].add(g, 1, 2, 12);
+  batches[1].add(g, 0, 3, 3);  // rank 0 never sends it
+  std::vector<std::string> errors = exchange_once(g, batches);
+  EXPECT_EQ(errors[0], "");
+  EXPECT_TRUE(diverged(errors[1])) << errors[1];
+}
+
+TEST(TransportDivergence, ReorderedBatch) {
+  Graph g = gen::cycle(4);
+  std::vector<Batch> batches(2);
+  batches[0].add(g, 1, 2, 12);
+  batches[0].add(g, 0, 3, 3);
+  batches[1].add(g, 0, 3, 3);  // same entries, another merge order
+  batches[1].add(g, 1, 2, 12);
+  std::vector<std::string> errors = exchange_once(g, batches);
+  EXPECT_EQ(errors[0], "");
+  EXPECT_TRUE(diverged(errors[1])) << errors[1];
+}
+
+TEST(TransportDivergence, WrongRound) {
+  Graph g = gen::cycle(4);
+  std::vector<Batch> batches(2);
+  std::vector<std::string> errors = exchange_once(g, batches, {1, 2});
+  EXPECT_TRUE(diverged(errors[0])) << errors[0];
+  EXPECT_TRUE(diverged(errors[1])) << errors[1];
+}
+
+// ------------------------------------------------------------- liveness --
+
+TEST(TransportLiveness, SilentPeerFailsWithinStallTimeout) {
+  Graph g = gen::cycle(4);
+  SocketTransportConfig cfg;
+  cfg.max_timeout_ms = 300;
+  cfg.stall_timeout_ms = 300;
+  auto cluster = transport::make_loopback_cluster(g, 2, cfg);
+  Batch batch;
+  batch.add(g, 1, 2, 12);
+  transport::RoundTraffic traffic;
+  traffic.round = 1;
+  traffic.to = batch.to;
+  traffic.slot = batch.slot;
+  traffic.payload = batch.payload;
+  // Rank 1 never exchanges: rank 0 retransmits into silence, then gives up.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(cluster[0]->exchange(traffic), transport::TransportError);
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_GE(elapsed, std::chrono::milliseconds(300));
+  EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
+  EXPECT_GT(cluster[0]->stats().retransmits, 0);
+}
+
+// --------------------------------------------------------------- limits --
+
+TEST(TransportLimits, RankCountFitsTheOneByteRankField) {
+  Graph g = gen::path(3);
+  SocketTransportConfig cfg;
+  cfg.ranks = SocketTransport::kMaxRanks;
+  cfg.rank = SocketTransport::kMaxRanks - 1;
+  SocketTransport widest(g, cfg,
+                         std::make_unique<transport::UdpTransport>());
+  EXPECT_EQ(widest.ranks(), 256);
+  cfg.ranks = 257;
+  cfg.rank = 0;
+  EXPECT_THROW(SocketTransport(g, cfg,
+                               std::make_unique<transport::UdpTransport>()),
+               transport::TransportError);
 }
 
 // ------------------------------------------------- serving over transport --
