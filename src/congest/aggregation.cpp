@@ -6,8 +6,6 @@
 #include <limits>
 #include <span>
 
-#include "congest/vertex_program.hpp"
-
 namespace mns::congest {
 namespace {
 constexpr AggValue kInfinity{std::numeric_limits<std::int64_t>::max(),
@@ -163,24 +161,26 @@ PartwiseAggregator::PartwiseAggregator(const Graph& g, const Partition& parts,
 /// The flooding schedule of aggregate_min as a VertexProgram over the
 /// aggregator's tables and workspace. Ownership discipline (what makes the
 /// parallel fan-out race-free): every directed slot d = 2e + side belongs to
-/// its sender endpoint from(d); dirty words, cursors and the active-slot
-/// list of d's owner are written only while the engine is running from(d) —
-/// in the send phase when from(d) transmits, in the receive phase when
-/// from(d) absorbs an improvement and re-dirties its own outgoing slots.
-/// The receive phase also READS the cursor of the incoming slot, which only
-/// the send phase writes. Per-participation state is v-local. The only
-/// cross-vertex structure is the frontier, assembled from PerShard lists at
-/// the barrier.
+/// its sender endpoint from(d); dirty words, cursors, records and the
+/// active-slot list of d's owner are written only while the engine is
+/// running from(d) — in the send phase when from(d) transmits, in the
+/// receive phase when from(d) absorbs an improvement and re-dirties its own
+/// outgoing slots. The receive phase also READS the record of the incoming
+/// slot, which only the send phase writes. Per-participation state is
+/// v-local. The only cross-vertex structure is the frontier, assembled from
+/// PerShard lists at the barrier.
 ///
 /// Send: each active slot transmits ONE part's value, the first dirty bit
-/// at or after its cursor in circular order; the cursor then moves past it.
+/// at or after its cursor in circular order; the cursor then moves past it,
+/// and the slot's record notes the part tag and the receiving participation.
 /// A slot is active exactly while it has a dirty bit, so activity is read
-/// off the words themselves. Receive: the bit a message travelled on is the
-/// one just before the sender's cursor, so owner_ at the receiving side
-/// names the participation to compare against, and an improvement sets the
-/// precomputed redirty_ bits. The transmit order and re-dirty order are
-/// those of the original per-message search, so traffic is byte-identical
-/// (pinned by test_wire_parity's recorded digests).
+/// off the words themselves. Receive: the record names the participation to
+/// compare against, and an improvement sets the precomputed redirty_ bits.
+/// The transmit order and re-dirty order are those of the original
+/// per-message search, so traffic is byte-identical (pinned by
+/// test_wire_parity's recorded digests). receive_batch absorbs a one-shard
+/// round in batch order and wakes receivers in first-delivery order, which
+/// is receive()'s effect exactly (vertex_program.hpp).
 struct PartwiseAggregator::Program {
   const std::uint32_t* poe_off;
   const PartId* poe_flat;
@@ -194,9 +194,12 @@ struct PartwiseAggregator::Program {
   std::uint32_t* active;
   const std::uint32_t* active_base;
   std::uint32_t* active_count;
-  FrontierTracker tracker;
+  SentRecord* record;
+  char* delivered;
+  std::vector<VertexId>& receivers;
+  FrontierTracker& tracker;
 
-  Program(PartwiseAggregator& a, Simulator& sim)
+  Program(PartwiseAggregator& a, FrontierTracker& t)
       : poe_off(a.poe_offset_.data()),
         poe_flat(a.poe_flat_.data()),
         word_off(a.word_off_.data()),
@@ -209,7 +212,10 @@ struct PartwiseAggregator::Program {
         active(a.ws_.active.data()),
         active_base(a.active_base_.data()),
         active_count(a.ws_.active_count.data()),
-        tracker(sim.num_shards(), a.g_->num_vertices()) {
+        record(a.ws_.record.data()),
+        delivered(a.ws_.delivered.data()),
+        receivers(a.ws_.receivers),
+        tracker(t) {
     // Initially every participating (node, edge, part) with a finite value
     // is dirty outward, activated in ascending (edge, part, side) order.
     const Graph& g = *a.g_;
@@ -282,6 +288,7 @@ struct PartwiseAggregator::Program {
       if (sent >= k) continue;  // not dirty after all: drop the slot
       const std::size_t bit = std::size_t{base} + sent;
       const AggValue val = state[owner[2 * bit + (d & 1)]];
+      record[d] = SentRecord{poe_flat[bit], owner[2 * bit + ((d & 1) ^ 1)]};
       out.send(static_cast<EdgeId>(e),
                Message{poe_flat[bit], val.aux, val.value});
       w[sent >> 6] &= ~(std::uint64_t{1} << (sent & 63));
@@ -292,29 +299,49 @@ struct PartwiseAggregator::Program {
     if (kept > 0) tracker.keep_from_send(u, out.shard());
   }
 
+  /// Absorbs the delivery `msg` on slot d at its receiver v; true if an
+  /// improvement activated one of v's outgoing slots. The tag check catches
+  /// a payload the transport substituted for something the sender did not
+  /// send.
+  bool absorb(VertexId v, std::uint32_t d, const Message& msg) {
+    const SentRecord rec = record[d];
+    require(rec.tag == msg.tag,
+            "aggregate_min: delivery does not match its sender's slot");
+    const AggValue incoming{msg.value, msg.aux};
+    if (!(incoming < state[rec.receiver])) return false;
+    state[rec.receiver] = incoming;
+    bool woke = false;
+    for (std::uint32_t r = redirty_off[rec.receiver];
+         r < redirty_off[rec.receiver + 1]; ++r)
+      woke |= mark_dirty(v, redirty[r].slot, redirty[r].bit);
+    return woke;
+  }
+
   void receive(VertexId v, Inbox inbox, const ShardContext& ctx) {
     const std::span<const std::uint32_t> slots = inbox.slots();
     const std::span<const Message> payloads = inbox.payloads();
     bool woke = false;
-    for (std::size_t j = 0; j < slots.size(); ++j) {
-      const std::uint32_t d = slots[j];
-      const Message& msg = payloads[j];
-      const std::size_t e = d >> 1;
-      const std::uint32_t base = poe_off[e];
-      const std::uint32_t k = poe_off[e + 1] - base;
-      // The sender advanced its cursor just past the bit it sent.
-      const std::uint32_t sent = (cursor[d] == 0 ? k : cursor[d]) - 1;
-      const std::size_t bit = std::size_t{base} + sent;
-      require(sent < k && poe_flat[bit] == msg.tag,
-              "aggregate_min: delivery does not match its sender's slot");
-      const std::uint32_t s = owner[2 * bit + ((d & 1) ^ 1)];
-      const AggValue incoming{msg.value, msg.aux};
-      if (!(incoming < state[s])) continue;
-      state[s] = incoming;
-      for (std::uint32_t r = redirty_off[s]; r < redirty_off[s + 1]; ++r)
-        woke |= mark_dirty(v, redirty[r].slot, redirty[r].bit);
-    }
+    for (std::size_t j = 0; j < slots.size(); ++j)
+      woke |= absorb(v, slots[j], payloads[j]);
     if (woke) tracker.wake_from_receive(v, ctx.shard);
+  }
+
+  void receive_batch(const RoundBatch& batch) {
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const VertexId v = batch.to[i];
+      char& mark = delivered[static_cast<std::size_t>(v)];
+      if (mark == 0) {
+        mark = 1;
+        receivers.push_back(v);
+      }
+      if (absorb(v, batch.slot[i], batch.payload[i])) mark = 2;
+    }
+    for (VertexId v : receivers) {
+      char& mark = delivered[static_cast<std::size_t>(v)];
+      if (mark == 2) tracker.wake_from_receive(v, 0);
+      mark = 0;
+    }
+    receivers.clear();
   }
 
   void end_round() { tracker.end_round(); }
@@ -334,6 +361,14 @@ AggregationResult PartwiseAggregator::aggregate_min(
   ws_.cursor.assign(slots, 0);
   ws_.active.resize(slots);
   ws_.active_count.assign(static_cast<std::size_t>(n), 0);
+  ws_.record.resize(slots);
+  ws_.delivered.assign(static_cast<std::size_t>(n), 0);
+  ws_.receivers.clear();
+  ws_.receivers.reserve(static_cast<std::size_t>(n));
+  if (ws_.tracker && ws_.tracker->num_shards() == sim.num_shards())
+    ws_.tracker->clear();
+  else
+    ws_.tracker.emplace(sim.num_shards(), n);
   // v's value for its own part.
   auto own = [&](VertexId v) -> AggValue& {
     return ws_.state[own_slot_[static_cast<std::size_t>(v)]];
@@ -342,7 +377,7 @@ AggregationResult PartwiseAggregator::aggregate_min(
     if (parts.part_of(v) != kNoPart) own(v) = initial[v];
 
   long long start = sim.rounds();
-  Program prog(*this, sim);
+  Program prog(*this, *ws_.tracker);
   (void)run_vertex_program(sim, prog);
 
   AggregationResult out;

@@ -8,17 +8,23 @@
 // round count is the isolated part diameter.
 //
 // The constructor resolves every (node, part) lookup the flood will need
-// into flat tables (DESIGN.md §9 "The aggregation kernel"), so sending and
-// receiving a message is a handful of indexed loads: no search, no
-// allocation. aggregate_min reuses one per-run workspace across calls.
+// into flat tables (DESIGN.md §9 "The aggregation kernel"), so sending a
+// message is a handful of indexed loads: no search, no allocation. The
+// sender also records, per directed slot, the part tag it sent and the
+// receiver's participation index, so receiving is one record load. On one
+// shard the flood absorbs each round in batch order (no inbox scatter;
+// vertex_program.hpp). aggregate_min reuses one per-run workspace across
+// calls, frontier bookkeeping included.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
 #include "congest/simulator.hpp"
+#include "congest/vertex_program.hpp"
 #include "core/partition.hpp"
 #include "core/shortcut.hpp"
 
@@ -70,14 +76,32 @@ class PartwiseAggregator {
     std::uint32_t bit;
   };
 
-  /// The per-run state, reset in full at the start of every aggregate_min.
-  /// Its sizes are fixed by the tables, so it allocates only on the first.
+  /// What directed slot d carried in the current round, written by its
+  /// sender: the part tag and the receiver's participation index
+  /// (owner_ at side d ^ 1).
+  struct SentRecord {
+    PartId tag;
+    std::uint32_t receiver;
+  };
+
+  /// The per-run state, reset at the start of every aggregate_min (a run
+  /// that threw leaves nothing behind). Its sizes are fixed by the tables
+  /// and the simulator's shard count, so it allocates only on the first.
   struct Workspace {
     std::vector<AggValue> state;       ///< per participation
     std::vector<std::uint64_t> dirty;  ///< packed masks, word_off_ layout
     std::vector<std::uint32_t> cursor;        ///< per directed slot
     std::vector<std::uint32_t> active;        ///< v's list at active_base_[v]
     std::vector<std::uint32_t> active_count;  ///< per vertex
+    /// Per directed slot; read only in the round its slot sent, so never
+    /// reset.
+    std::vector<SentRecord> record;
+    /// Batch receive: per vertex 0 = no delivery yet this round, 1 =
+    /// delivered, 2 = a delivery woke it; `receivers` lists the delivered
+    /// vertices in first-delivery order.
+    std::vector<char> delivered;
+    std::vector<VertexId> receivers;
+    std::optional<FrontierTracker> tracker;
   };
 
   const Graph* g_;

@@ -91,7 +91,10 @@ class Arena {
     std::size_t size = kMinSlabBytes;
     if (!slabs_.empty()) size = slabs_.back().size * 2;
     if (size < at_least) size = at_least;
-    slabs_.push_back(Slab{std::make_unique<std::byte[]>(size), size});
+    // for_overwrite: arena containers write every byte before reading it,
+    // so zero-filling a fresh slab would only cost a memset per slab.
+    slabs_.push_back(
+        Slab{std::make_unique_for_overwrite<std::byte[]>(size), size});
     ++stats_.slabs;
     stats_.bytes_reserved += size;
     cursor_ = slabs_.back().data.get();

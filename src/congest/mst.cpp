@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 
 #include "congest/vertex_program.hpp"
@@ -183,14 +184,28 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
   auto recv_slot = [&g](VertexId v, EdgeId e) {
     return 2 * static_cast<std::size_t>(e) + (g.edge(e).u == v ? 0u : 1u);
   };
+  // The phase partition is heap-held so that the aggregator built over it
+  // (which keeps a pointer) survives the hand-over to the next phase: the
+  // dissemination aggregator of phase k is built over phase k+1's partition
+  // and is carried into phase k+1 with the shortcut it was built from. At
+  // most one aggregator is alive at a time.
+  auto parts = std::make_unique<Partition>(
+      std::vector<PartId>(frag.begin(), frag.end()));
+  std::unique_ptr<PartwiseAggregator> agg;
+  std::shared_ptr<const Shortcut> agg_shortcut;
+  auto build_aggregator = [&](const Partition& over,
+                              std::shared_ptr<const Shortcut> shortcut) {
+    agg.reset();
+    agg = std::make_unique<PartwiseAggregator>(g, over, *shortcut);
+    agg_shortcut = std::move(shortcut);
+  };
   while (true) {
-    Partition parts(std::vector<PartId>(frag.begin(), frag.end()));
-    if (parts.num_parts() == 1) break;
+    if (parts->num_parts() == 1) break;
     if (options.stop_at_fragment_size > 0) {
       VertexId smallest = n;
-      for (PartId p = 0; p < parts.num_parts(); ++p)
+      for (PartId p = 0; p < parts->num_parts(); ++p)
         smallest = std::min(smallest,
-                            static_cast<VertexId>(parts.members(p).size()));
+                            static_cast<VertexId>(parts->members(p).size()));
       if (smallest >= options.stop_at_fragment_size) break;
     }
     ++out.phases;
@@ -219,19 +234,24 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
     // Obtain this phase's shortcut and aggregate fragment minima. A FRESH
     // shortcut is charged one extra aggregation's worth of rounds (the
     // [HIZ16a] substitution, DESIGN.md §2); a cached one was already paid
-    // for when it was first built. The aggregator is a temporary, so its
-    // tables are freed before the dissemination aggregator below is built.
-    SourcedShortcut sc = options.source(g, parts);
-    const AggregationResult res =
-        PartwiseAggregator(g, parts, *sc.shortcut).aggregate_min(sim, initial);
+    // for when it was first built. The source is asked every phase, so the
+    // charges and cache counters do not depend on the reuse below: the
+    // carried aggregator serves when the source returns its shortcut again
+    // (the same object, or equal edge lists — LDD projection builds new
+    // objects).
+    SourcedShortcut sc = options.source(g, *parts);
+    if (!agg || (sc.shortcut != agg_shortcut &&
+                 sc.shortcut->edges_of_part != agg_shortcut->edges_of_part))
+      build_aggregator(*parts, sc.shortcut);
+    const AggregationResult res = agg->aggregate_min(sim, initial);
     ++out.aggregations;
     if (sc.fresh) out.charged_construction_rounds += res.rounds;
 
     // Merge along chosen edges (star contraction via DSU).
     bool merged_any = false;
-    UnionFind uf(parts.num_parts());
+    UnionFind uf(parts->num_parts());
     std::vector<EdgeId> chosen;
-    for (PartId p = 0; p < parts.num_parts(); ++p) {
+    for (PartId p = 0; p < parts->num_parts(); ++p) {
       if (res.min_of_part[p].value == kInf) continue;  // no outgoing edge
       EdgeId e = res.min_of_part[p].aux;
       chosen.push_back(e);
@@ -250,13 +270,18 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
     // flood the minimum old label; rounds measured; result label irrelevant
     // beyond synchronization). The next phase aggregates over this same
     // partition, so with a caching source its shortcut — charged here, on
-    // first build — is served back without a second charge.
-    Partition new_parts(std::vector<PartId>(new_frag.begin(), new_frag.end()));
-    SourcedShortcut new_sc = options.source(g, new_parts);
-    PartwiseAggregator agg2(g, new_parts, *new_sc.shortcut);
+    // first build — is served back without a second charge, and this
+    // aggregator is carried over to serve it. The phase aggregator is freed
+    // first: the source may construct here, and the two should not peak
+    // together.
+    auto new_parts = std::make_unique<Partition>(
+        std::vector<PartId>(new_frag.begin(), new_frag.end()));
+    agg.reset();
+    SourcedShortcut new_sc = options.source(g, *new_parts);
+    build_aggregator(*new_parts, std::move(new_sc.shortcut));
     std::vector<AggValue> labels(n);
     for (VertexId v = 0; v < n; ++v) labels[v] = AggValue{frag[v], 0};
-    AggregationResult res2 = agg2.aggregate_min(sim, labels);
+    AggregationResult res2 = agg->aggregate_min(sim, labels);
     ++out.aggregations;
     if (new_sc.fresh) out.charged_construction_rounds += res2.rounds;
 
@@ -266,6 +291,7 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
           sim.messages_sent() - phase_messages_start,
           out.charged_construction_rounds - phase_charged_start});
     frag = std::move(new_frag);
+    parts = std::move(new_parts);
   }
 
   std::sort(out.edges.begin(), out.edges.end());

@@ -26,9 +26,9 @@ Simulator::Simulator(const Graph& g, ExecutionPolicy policy)
       pending_to_(ArenaAllocator<VertexId>(&arena_)),
       pending_slot_(ArenaAllocator<std::uint32_t>(&arena_)),
       pending_msg_(ArenaAllocator<Message>(&arena_)),
-      used_list_(ArenaAllocator<std::uint32_t>(&arena_)),
       inbox_slot_(ArenaAllocator<std::uint32_t>(&arena_)),
       inbox_msg_(ArenaAllocator<Message>(&arena_)),
+      batch_to_(ArenaAllocator<VertexId>(&arena_)),
       frontier_(ArenaAllocator<VertexId>(&arena_)) {
   used_.assign(static_cast<std::size_t>(g.num_edges()) * 2, 0);
   inbox_begin_.assign(g.num_vertices(), 0);
@@ -87,24 +87,15 @@ Arena::Stats Simulator::arena_stats() const {
   return total;
 }
 
-void Simulator::send(VertexId from, EdgeId edge, const Message& msg) {
-  const Edge& e = g_->edge(edge);
-  if (e.u != from && e.v != from)
-    throw std::invalid_argument(
-        endpoint_violation("Simulator::send", from, edge, e));
-  const std::size_t slot =
-      2 * static_cast<std::size_t>(edge) + (from == e.u ? 0 : 1);
-  if (used_[slot])
-    throw std::invalid_argument(
-        "Simulator::send: directed edge already used this round (CONGEST "
-        "capacity violated)");
-  used_[slot] = 1;
-  used_list_.push_back(static_cast<std::uint32_t>(slot));
-  VertexId to = (from == e.u) ? e.v : e.u;
-  pending_to_.push_back(to);
-  pending_slot_.push_back(static_cast<std::uint32_t>(slot));
-  pending_msg_.push_back(msg);
-  ++messages_;
+void Simulator::throw_endpoint_violation(VertexId from, EdgeId edge) const {
+  throw std::invalid_argument(
+      endpoint_violation("Simulator::send", from, edge, g_->edge(edge)));
+}
+
+void Simulator::throw_capacity_violation() {
+  throw std::invalid_argument(
+      "Simulator::send: directed edge already used this round (CONGEST "
+      "capacity violated)");
 }
 
 void Simulator::stage_send(int shard, VertexId from, EdgeId edge,
@@ -124,21 +115,25 @@ void Simulator::stage_send(int shard, VertexId from, EdgeId edge,
       StagedSend{slot, to, msg});
 }
 
-void Simulator::finish_round() {
+void Simulator::close_round() {
   // Validate the staged shard sends BEFORE mutating anything the caller can
   // observe, so a CONGEST capacity violation leaves the simulator exactly
   // as sequential send() would: round not counted, direct sends still
   // pending, inboxes intact. The poisoned round's staged sends are
-  // discarded (they were never counted), keeping the simulator usable
-  // after a caught violation. The check runs here, on one thread, in the
-  // deterministic merge order.
-  const std::size_t used_mark = used_list_.size();
+  // discarded (they were never counted) and their marks undone, keeping the
+  // simulator usable after a caught violation. The check runs here, on one
+  // thread, in the deterministic merge order.
   for (int sh = 0; sh < num_shards_; ++sh) {
     for (const StagedSend& s : shards_[static_cast<std::size_t>(sh)].entries) {
       if (used_[s.slot]) {
-        for (std::size_t i = used_mark; i < used_list_.size(); ++i)
-          used_[used_list_[i]] = 0;
-        used_list_.resize(used_mark);
+        // Every staged send before this one marked a slot no direct send
+        // holds (it would have thrown here otherwise): unmark exactly those.
+        for (int k = 0; k <= sh; ++k)
+          for (const StagedSend& t :
+               shards_[static_cast<std::size_t>(k)].entries) {
+            if (&t == &s) break;
+            used_[t.slot] = 0;
+          }
         for (int k = 0; k < num_shards_; ++k)
           shards_[static_cast<std::size_t>(k)].entries.clear();
         throw std::invalid_argument(
@@ -146,7 +141,6 @@ void Simulator::finish_round() {
             "(CONGEST capacity violated by a staged send)");
       }
       used_[s.slot] = 1;
-      used_list_.push_back(s.slot);
     }
   }
   ++rounds_;
@@ -171,8 +165,8 @@ void Simulator::finish_round() {
   }
   // Transport seam (DESIGN.md §11): the canonical merged batch is complete;
   // let the transport block for remote delivery and substitute authoritative
-  // payload bytes before anything is scattered into inboxes. A throw here
-  // poisons the round (documented on finish_round()).
+  // payload bytes before anything is delivered. A throw here poisons the
+  // round (documented on finish_round()).
   if (transport_ != nullptr) {
     transport::RoundTraffic traffic;
     traffic.round = rounds_;
@@ -181,6 +175,13 @@ void Simulator::finish_round() {
     traffic.payload = {pending_msg_.data(), pending_msg_.size()};
     transport_->exchange(traffic);
   }
+  // Reset CONGEST capacity for the next round: the batch lists every slot
+  // marked this round, direct and staged alike.
+  for (std::uint32_t slot : pending_slot_) used_[slot] = 0;
+}
+
+void Simulator::finish_round() {
+  close_round();
   // Count messages per destination; destinations join the frontier on
   // their first message. Sort-free CSR: the per-destination counts become
   // contiguous ranges in frontier order.
@@ -207,9 +208,22 @@ void Simulator::finish_round() {
   pending_to_.clear();
   pending_slot_.clear();
   pending_msg_.clear();
-  // Reset CONGEST capacity for the next round: only used entries touched.
-  for (std::uint32_t slot : used_list_) used_[slot] = 0;
-  used_list_.clear();
+}
+
+RoundBatch Simulator::finish_round_batch() {
+  close_round();
+  // The batch becomes the delivered storage as is; the swapped-out buffers
+  // keep their capacity for the next round's sends (all on arena_, so the
+  // swaps are pointer swaps).
+  batch_to_.swap(pending_to_);
+  inbox_slot_.swap(pending_slot_);
+  inbox_msg_.swap(pending_msg_);
+  pending_to_.clear();
+  pending_slot_.clear();
+  pending_msg_.clear();
+  return RoundBatch{{batch_to_.data(), batch_to_.size()},
+                    {inbox_slot_.data(), inbox_slot_.size()},
+                    {inbox_msg_.data(), inbox_msg_.size()}};
 }
 
 void Simulator::skip_rounds(long long rounds) {

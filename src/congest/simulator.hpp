@@ -31,6 +31,13 @@
 // inbox contents and delivered_to() are bit-identical to threads == 1.
 // Parallelism is a wall-clock optimization, never a semantic change.
 //
+// Two delivery forms (DESIGN.md §7 "Delivery forms"). finish_round()
+// scatters the round into per-destination inboxes (inbox(v), delivered_to());
+// finish_round_batch() stops after the transport exchange and hands back the
+// canonical merged batch itself, in send order, building no inboxes. Both
+// count, check and exchange the round identically; the vertex engine picks
+// the batch form for programs that can consume it when one shard runs.
+//
 // Transport seam (DESIGN.md §11 "Transport layer"): an optional
 // transport::Transport installed via set_transport() observes each round's
 // canonical merged traffic at the round boundary — it may block until
@@ -143,6 +150,18 @@ class Inbox {
   std::size_t count_ = 0;
 };
 
+/// One finished round's deliveries in canonical batch order (SoA): entry i
+/// is the payload that travelled on directed slot slot[i] to vertex to[i].
+/// Each receiver's entries appear in its inbox order. Returned by
+/// Simulator::finish_round_batch(); valid until the next round end.
+struct RoundBatch {
+  std::span<const VertexId> to;
+  std::span<const std::uint32_t> slot;
+  std::span<const Message> payload;
+
+  [[nodiscard]] std::size_t size() const noexcept { return to.size(); }
+};
+
 class Simulator {
  public:
   explicit Simulator(const Graph& g, ExecutionPolicy policy = {});
@@ -155,8 +174,23 @@ class Simulator {
 
   /// Queues a message from `from` across `edge` for delivery next round.
   /// Throws if `from` is not an endpoint of `edge` or if this directed edge
-  /// was already used this round (CONGEST capacity).
-  void send(VertexId from, EdgeId edge, const Message& msg);
+  /// was already used this round (CONGEST capacity). Inline: it is the
+  /// per-message path of every one-shard round; the throws are out of line.
+  void send(VertexId from, EdgeId edge, const Message& msg) {
+    const Edge& e = g_->edge(edge);
+    const bool from_u = e.u == from;
+    if (!from_u && e.v != from) [[unlikely]]
+      throw_endpoint_violation(from, edge);
+    const std::uint32_t slot =
+        2 * static_cast<std::uint32_t>(edge) + (from_u ? 0u : 1u);
+    if (used_[slot] != 0) [[unlikely]]
+      throw_capacity_violation();
+    used_[slot] = 1;
+    pending_to_.push_back(from_u ? e.v : e.u);
+    pending_slot_.push_back(slot);
+    pending_msg_.push_back(msg);
+    ++messages_;
+  }
 
   // -- parallel staging (used by the vertex-program engine) ----------------
 
@@ -191,6 +225,15 @@ class Simulator {
   /// TransportError poisons the round (the simulator must not be reused).
   void finish_round();
 
+  /// Ends the round like finish_round() — same merge, capacity check,
+  /// transport exchange and counters — but builds no inboxes: the canonical
+  /// batch moves (a buffer swap, no copy) into delivered storage and is
+  /// returned in send order, readable until the next round end. Afterwards
+  /// delivered_to() and every inbox(v) are empty. Capacity is reset before
+  /// the batch is returned, so a caller that throws while reading it leaves
+  /// the simulator usable.
+  [[nodiscard]] RoundBatch finish_round_batch();
+
   /// Installs a message transport (non-owning; must outlive the simulator or
   /// be detached with nullptr). May only change between rounds, like
   /// set_execution_policy(). Default none == InProcessTransport semantics.
@@ -200,11 +243,11 @@ class Simulator {
   }
 
   /// Messages delivered to v in the round that just finished, as a decoding
-  /// view over the packed buffers. The view stays valid until the next
-  /// finish_round(). Out-of-range vertices throw (always on, consistent with
-  /// send()'s endpoint validation — inbox_count_ would otherwise be read out
-  /// of bounds and an NDEBUG assert could not be exercised by the contract
-  /// tests).
+  /// view over the packed buffers (empty after finish_round_batch()). The
+  /// view stays valid until the next round end. Out-of-range vertices throw
+  /// (always on, consistent with send()'s endpoint validation —
+  /// inbox_count_ would otherwise be read out of bounds and an NDEBUG assert
+  /// could not be exercised by the contract tests).
   [[nodiscard]] Inbox inbox(VertexId v) const {
     if (v < 0 || static_cast<std::size_t>(v) >= inbox_count_.size())
       throw std::out_of_range("Simulator::inbox: vertex out of range");
@@ -217,7 +260,7 @@ class Simulator {
   /// Nodes with a nonempty inbox from the round that just finished, in
   /// first-delivery order. Receive phases that iterate this instead of all
   /// vertices are O(messages delivered), not O(n). Valid until the next
-  /// finish_round().
+  /// round end; empty after finish_round_batch().
   [[nodiscard]] std::span<const VertexId> delivered_to() const noexcept {
     return {frontier_.data(), frontier_.size()};
   }
@@ -252,6 +295,13 @@ class Simulator {
     ArenaVector<StagedSend> entries{ArenaAllocator<StagedSend>(&arena)};
   };
 
+  /// The round end both forms share: staged-capacity check, merge into the
+  /// canonical pending batch, transport exchange, counters, capacity reset.
+  /// Leaves the batch in pending_* and the previous round's inboxes retired.
+  void close_round();
+  [[noreturn]] void throw_endpoint_violation(VertexId from, EdgeId edge) const;
+  [[noreturn]] static void throw_capacity_violation();
+
   const Graph* g_;
   ExecutionPolicy policy_;
   int num_shards_ = 0;  ///< 0 until the constructor applies the policy
@@ -265,18 +315,20 @@ class Simulator {
   ArenaVector<VertexId> pending_to_;
   ArenaVector<std::uint32_t> pending_slot_;
   ArenaVector<Message> pending_msg_;
-  // Directed edge used this round (2e + side), with touched-list reset.
+  // Directed edge used this round (2e + side); reset from pending_slot_,
+  // which lists exactly the slots marked.
   std::vector<char> used_;
-  ArenaVector<std::uint32_t> used_list_;
-  // Delivered inboxes: per-vertex [begin, begin+count) into the packed
-  // slot/payload arrays. Only entries of vertices in frontier_ are
-  // meaningful; everyone else has count 0 (maintained incrementally, never
-  // rescanned).
+  // Delivered storage. After finish_round(): per-vertex [begin, begin+count)
+  // into the packed slot/payload arrays; only entries of vertices in
+  // frontier_ are meaningful, everyone else has count 0 (maintained
+  // incrementally, never rescanned). After finish_round_batch(): the batch,
+  // swapped in whole — batch_to_ plus the packed slot/payload arrays.
   std::vector<std::uint32_t> inbox_begin_;
   std::vector<std::uint32_t> inbox_count_;
   std::vector<std::uint32_t> inbox_cursor_;
   ArenaVector<std::uint32_t> inbox_slot_;
   ArenaVector<Message> inbox_msg_;
+  ArenaVector<VertexId> batch_to_;
   // Nodes with a nonempty inbox from the round that just finished.
   ArenaVector<VertexId> frontier_;
   transport::Transport* transport_ = nullptr;  ///< non-owning round hook

@@ -10,6 +10,20 @@
 // — and run_vertex_program() drives the rounds, fanning send/receive over
 // the simulator's shards when the ExecutionPolicy asks for threads.
 //
+// Delivery forms (DESIGN.md §7): a program may also define
+//
+//   receive_batch(batch)    absorb the whole round in canonical batch order
+//
+// and the engine then uses it whenever the simulator runs ONE shard: the
+// round ends with Simulator::finish_round_batch(), which skips the
+// per-destination inbox scatter. It must have receive()'s effect: batch
+// order keeps each receiver's deliveries in inbox order, so a program whose
+// per-vertex state is written only by that vertex's own deliveries matches
+// the inbox form exactly if it wakes receivers in first-delivery order
+// (delivered_to()'s order). At more than one shard, and for programs
+// without receive_batch, rounds end with finish_round() and fan receive()
+// over delivered_to() as before.
+//
 // The determinism contract (DESIGN.md §7): the engine splits the frontier
 // into CONTIGUOUS blocks, one per shard; within a block vertices run in
 // frontier order, and Simulator::finish_round() concatenates the shard
@@ -24,6 +38,7 @@
 // counted, so quiescence costs no rounds.
 #pragma once
 
+#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -127,6 +142,18 @@ class FrontierTracker {
   [[nodiscard]] std::span<const VertexId> frontier() const {
     return frontier_list_;
   }
+  [[nodiscard]] int num_shards() const noexcept {
+    return send_keep_.num_shards();
+  }
+  /// Forgets every list and flag — also those a run that threw left behind
+  /// — keeping all capacity, so a tracker reused across runs stops
+  /// allocating once warm.
+  void clear() {
+    std::fill(queued_.begin(), queued_.end(), char{0});
+    frontier_list_.clear();
+    send_keep_.for_each([](ArenaVector<VertexId>& l) { l.clear(); });
+    recv_wake_.for_each([](ArenaVector<VertexId>& l) { l.clear(); });
+  }
   /// Init-time push, before the first round (no dedup — seed each vertex
   /// once).
   void seed(VertexId v) { frontier_list_.push_back(v); }
@@ -206,12 +233,19 @@ void for_each_sharded(Simulator& sim, std::span<const VertexId> items,
 
 }  // namespace detail
 
+/// Programs that can absorb a round in batch order (see the file comment).
+template <typename Program>
+concept BatchReceiver = requires(Program& prog, const RoundBatch& batch) {
+  prog.receive_batch(batch);
+};
+
 /// Runs exactly ONE round of the program (or none, if the frontier is
 /// empty): fan send() over the frontier, turn the round over, fan receive()
-/// over the delivered vertices, then let the program merge at the
-/// end_round() barrier. Returns the rounds consumed (0 or 1). The
-/// single-step form of run_vertex_program, for drivers that interleave
-/// phase-granular bookkeeping (traces, convergence probes) between rounds.
+/// over the delivered vertices (or hand a BatchReceiver the batch when one
+/// shard runs), then let the program merge at the end_round() barrier.
+/// Returns the rounds consumed (0 or 1). The single-step form of
+/// run_vertex_program, for drivers that interleave phase-granular
+/// bookkeeping (traces, convergence probes) between rounds.
 template <typename Program>
 long long run_vertex_program_round(Simulator& sim, Program& prog) {
   const std::span<const VertexId> frontier = prog.frontier();
@@ -226,6 +260,13 @@ long long run_vertex_program_round(Simulator& sim, Program& prog) {
           prog.send(v, out);
         }
       });
+  if constexpr (BatchReceiver<Program>) {
+    if (shards == 1) {
+      prog.receive_batch(sim.finish_round_batch());
+      prog.end_round();
+      return 1;
+    }
+  }
   sim.finish_round();
   detail::for_each_sharded(
       sim, sim.delivered_to(),

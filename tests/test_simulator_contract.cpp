@@ -2,13 +2,16 @@
 // enforcement, skip_rounds accounting, inbox view validity after
 // finish_round, frontier (delivered_to) bookkeeping across sparse rounds —
 // the invariants the buffer-reuse/counting-CSR implementation must uphold —
-// plus the engine's round-accounting contract (quiescence costs no rounds).
+// the batch round end (finish_round_batch builds no inboxes and leaves the
+// simulator clean), plus the engine's round-accounting contract
+// (quiescence costs no rounds).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <set>
 
+#include "congest/bfs.hpp"
 #include "congest/simulator.hpp"
 #include "congest/vertex_program.hpp"
 #include "gen/basic.hpp"
@@ -300,6 +303,62 @@ TEST(SimulatorContract, DeliveredToMatchesReceivers) {
   EXPECT_TRUE(sim.delivered_to().empty());
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_TRUE(sim.inbox(v).empty());
+}
+
+TEST(SimulatorContract, BatchRoundBuildsNoInboxes) {
+  // finish_round_batch() hands back the canonical batch in send order and
+  // scatters nothing: afterwards delivered_to() and every inbox are empty,
+  // capacity is free again, and a program run next on the same simulator
+  // behaves exactly as on a fresh one.
+  Rng rng(5);
+  Graph g = gen::random_maximal_planar(200, rng).graph();
+  Simulator sim(g);
+  // An inbox round first, so the batch round retires real inboxes too.
+  for (EdgeId e : g.incident_edges(1)) sim.send(1, e, Message{0, 0, 1});
+  sim.finish_round();
+  ASSERT_FALSE(sim.delivered_to().empty());
+  std::vector<VertexId> to;
+  std::vector<std::uint32_t> slots;
+  for (VertexId v = 0; v < g.num_vertices(); v += 2) {
+    const auto eids = g.incident_edges(v);
+    const auto nbrs = g.neighbors(v);
+    for (std::size_t i = 0; i < eids.size(); ++i) {
+      sim.send(v, eids[i], Message{v, eids[i], 1000 * v + eids[i]});
+      to.push_back(nbrs[i]);
+      slots.push_back(2 * static_cast<std::uint32_t>(eids[i]) +
+                      (g.edge(eids[i]).u == v ? 0u : 1u));
+    }
+  }
+  const congest::RoundBatch batch = sim.finish_round_batch();
+  EXPECT_EQ(sim.rounds(), 2);
+  EXPECT_EQ(sim.messages_sent(),
+            static_cast<long long>(g.degree(1) + to.size()));
+  ASSERT_EQ(batch.size(), to.size());
+  for (std::size_t i = 0; i < to.size(); ++i) {
+    EXPECT_EQ(batch.to[i], to[i]);
+    EXPECT_EQ(batch.slot[i], slots[i]);
+    const EdgeId e = static_cast<EdgeId>(slots[i] >> 1);
+    const VertexId from = g.other_endpoint(e, to[i]);
+    EXPECT_EQ(batch.payload[i].tag, from);
+    EXPECT_EQ(batch.payload[i].aux, e);
+    EXPECT_EQ(batch.payload[i].value, 1000 * from + e);
+  }
+  EXPECT_TRUE(sim.delivered_to().empty());
+  for (VertexId v = 0; v < g.num_vertices(); ++v)
+    EXPECT_TRUE(sim.inbox(v).empty()) << v;
+
+  const long long rounds_before = sim.rounds();
+  const long long messages_before = sim.messages_sent();
+  const congest::DistributedBfsResult reused = congest::distributed_bfs(sim, 7);
+  Simulator fresh_sim(g);
+  const congest::DistributedBfsResult fresh =
+      congest::distributed_bfs(fresh_sim, 7);
+  EXPECT_EQ(reused.dist, fresh.dist);
+  EXPECT_EQ(reused.parent, fresh.parent);
+  EXPECT_EQ(reused.parent_edge, fresh.parent_edge);
+  EXPECT_EQ(reused.rounds, fresh.rounds);
+  EXPECT_EQ(sim.rounds() - rounds_before, fresh_sim.rounds());
+  EXPECT_EQ(sim.messages_sent() - messages_before, fresh_sim.messages_sent());
 }
 
 TEST(SimulatorContract, SteadyStateBufferReuseOverManyRounds) {

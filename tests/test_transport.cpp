@@ -6,8 +6,8 @@
 // single-process reference, on every certificate family, for mst and
 // sssp.approx, including under seeded drop/dup/reorder fault injection.
 // Clean rounds must cost one datagram per peer. The error paths are driven
-// too: forged datagrams, replicas whose batches disagree, a silent peer and
-// a cluster wider than the one-byte rank field.
+// too: forged datagrams, replicas whose batches disagree, a silent peer, a
+// rank lost mid-run and a cluster wider than the one-byte rank field.
 //
 // Each loopback rank runs on its own thread (exchange() blocks on peer
 // fences); the `parallel` ctest label puts this file in the TSan job, so
@@ -501,6 +501,78 @@ TEST(TransportLiveness, SilentPeerFailsWithinStallTimeout) {
   EXPECT_GE(elapsed, std::chrono::milliseconds(300));
   EXPECT_LT(elapsed, std::chrono::milliseconds(1000));
   EXPECT_GT(cluster[0]->stats().retransmits, 0);
+}
+
+/// Passes rounds through to a real rank until `fail_round`, then throws
+/// locally at that round's barrier, before sending anything for it: the
+/// rank falls silent with its earlier packets possibly still in flight.
+class DyingTransport final : public transport::Transport {
+ public:
+  DyingTransport(transport::Transport& inner, long long fail_round)
+      : inner_(inner), fail_round_(fail_round) {}
+  void exchange(const transport::RoundTraffic& traffic) override {
+    if (traffic.round == fail_round_) {
+      failed_at = std::chrono::steady_clock::now();
+      throw transport::TransportError("rank lost");
+    }
+    inner_.exchange(traffic);
+  }
+
+  std::chrono::steady_clock::time_point failed_at;
+
+ private:
+  transport::Transport& inner_;
+  long long fail_round_;
+};
+
+TEST(TransportLiveness, RankLostMidRunFailsEverySurvivor) {
+  const FamilyCase fam = transport_families()[0];
+  Rng wrng(47);
+  const WorkloadParams params = params_for(fam.graph, wrng);
+  SocketTransportConfig cfg;
+  cfg.max_timeout_ms = 300;
+  cfg.stall_timeout_ms = 300;
+  auto cluster = transport::make_loopback_cluster(fam.graph, 3, cfg);
+  DyingTransport dying(*cluster[2], 5);
+  struct Outcome {
+    bool returned = false;
+    bool transport_error = false;
+    std::string other_error;
+    std::chrono::steady_clock::time_point ended;
+  };
+  std::vector<Outcome> outcome(3);
+  std::vector<std::thread> threads;
+  for (int r = 0; r < 3; ++r) {
+    threads.emplace_back([&, r] {
+      Outcome& out = outcome[static_cast<std::size_t>(r)];
+      try {
+        Session session(fam.graph, fam.cert);
+        session.set_transport(
+            r == 2 ? static_cast<transport::Transport*>(&dying)
+                   : cluster[static_cast<std::size_t>(r)].get());
+        (void)session.solve("mst", params, SolveOptions{});
+        out.returned = true;
+      } catch (const transport::TransportError&) {
+        out.transport_error = true;
+      } catch (const std::exception& e) {
+        out.other_error = e.what();
+      }
+      out.ended = std::chrono::steady_clock::now();
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  for (int r = 0; r < 3; ++r) {
+    SCOPED_TRACE(r);
+    const Outcome& out = outcome[static_cast<std::size_t>(r)];
+    EXPECT_FALSE(out.returned) << "a rank returned a report";
+    EXPECT_TRUE(out.transport_error) << out.other_error;
+  }
+  // Each survivor notices within its stall timeout plus retransmit slack.
+  for (int r = 0; r < 2; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_LT(outcome[static_cast<std::size_t>(r)].ended - dying.failed_at,
+              std::chrono::milliseconds(1000));
+  }
 }
 
 // --------------------------------------------------------------- limits --

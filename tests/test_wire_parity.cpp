@@ -19,7 +19,10 @@
 // distributions, like bench/baselines/ (DESIGN.md §8). The Wide* and
 // *Aggregator* cases pin a direct PartwiseAggregator the same way: edges
 // carrying more than 64 parts (multi-word dirty masks), reuse of one
-// aggregator across calls, and recovery after a run that threw.
+// aggregator across calls, and recovery after a run that threw. At width 1
+// the aggregation flood consumes each round as one batch in send order, at
+// width 4 as per-vertex inboxes (vertex_program.hpp), so every width-1/4 pin
+// checks both delivery forms against the same digests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -530,6 +533,68 @@ TEST(WireParity, AggregatorRecoversFromARunThatThrew) {
     congest::PartwiseAggregator fresh(c.g, c.parts, c.sc);
     EXPECT_EQ(run_aggregation(agg, c.g, init, width),
               run_aggregation(fresh, c.g, init, width));
+  }
+}
+
+/// Digests every round like DigestTransport, but numbers rounds from its
+/// own first exchange, so a run on a reused simulator digests like one on a
+/// fresh simulator. With `tamper_round` set it rewrites the tag of that
+/// round's first payload, as a corrupt link would.
+class RelativeDigestTransport final : public transport::Transport {
+ public:
+  explicit RelativeDigestTransport(long long tamper_round = 0)
+      : tamper_round_(tamper_round) {}
+  void exchange(const transport::RoundTraffic& t) override {
+    if (first_round_ == 0) first_round_ = t.round;
+    const long long round = t.round - first_round_ + 1;
+    if (round == tamper_round_ && t.size() > 0) ++t.payload[0].tag;
+    digest_ = fnv1a(digest_, &round, sizeof(round));
+    digest_ = fnv1a(digest_, t.to.data(), t.to.size_bytes());
+    digest_ = fnv1a(digest_, t.slot.data(), t.slot.size_bytes());
+    digest_ = fnv1a(digest_, t.payload.data(), t.payload.size_bytes());
+  }
+  [[nodiscard]] std::uint64_t digest() const noexcept { return digest_; }
+
+ private:
+  long long tamper_round_;
+  long long first_round_ = 0;
+  std::uint64_t digest_ = 14695981039346656037ULL;
+};
+
+/// One aggregate_min on `sim` as it stands; messages counted from the call.
+AggregationRun run_on(congest::PartwiseAggregator& agg, Simulator& sim,
+                      const std::vector<congest::AggValue>& init) {
+  RelativeDigestTransport wire;
+  sim.set_transport(&wire);
+  const long long messages_before = sim.messages_sent();
+  congest::AggregationResult res = agg.aggregate_min(sim, init);
+  sim.set_transport(nullptr);
+  return {res.rounds, sim.messages_sent() - messages_before, wire.digest(),
+          std::move(res.min_of_part)};
+}
+
+TEST(WireParity, AggregatorThrowMidFloodLeavesSimulatorUsable) {
+  // A corrupted tag makes aggregate_min throw while it absorbs round 2 —
+  // from the batch form at width 1, from the inbox form at width 4. The
+  // round had already ended, so the simulator must stay usable: the next
+  // clean run on it, with the same aggregator, matches a fresh simulator.
+  const AggregationCase c = wide_case();
+  const std::vector<congest::AggValue> init =
+      salted_values(c.g.num_vertices(), 7);
+  for (int width : {1, 4}) {
+    SCOPED_TRACE(width);
+    congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
+    Simulator sim(c.g, congest::ExecutionPolicy{width});
+    {
+      RelativeDigestTransport corrupt(2);
+      sim.set_transport(&corrupt);
+      EXPECT_THROW((void)agg.aggregate_min(sim, init), InvariantViolation);
+      sim.set_transport(nullptr);
+    }
+    EXPECT_EQ(sim.rounds(), 2);
+    congest::PartwiseAggregator fresh_agg(c.g, c.parts, c.sc);
+    Simulator fresh(c.g, congest::ExecutionPolicy{width});
+    EXPECT_EQ(run_on(agg, sim, init), run_on(fresh_agg, fresh, init));
   }
 }
 
