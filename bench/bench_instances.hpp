@@ -1,5 +1,5 @@
-// Shared adversarial instances for the workload harnesses (bench_mst_rounds,
-// bench_sssp, bench_session). Each builder produces a small-diameter network
+// Shared adversarial instances for the workload harnesses (bench_rounds,
+// bench_session, bench_scale). Each builder produces a small-diameter network
 // of one certificate family together with weights whose cheap routes are
 // LONG — the D << shortest-path-hops / snake-fragment regime the paper's
 // theorems speak to, where shortcuts are essential.

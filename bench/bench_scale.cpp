@@ -83,6 +83,8 @@ bool run_instance(bench::JsonReport& report, const char* family, Graph graph,
                 static_cast<double>(rss) / (1 << 20),
                 static_cast<double>(budget) / (1 << 20),
                 verified ? "" : "MISMATCH ", fits ? "" : "OVER-BUDGET");
+    // A full-depth row takes minutes; show it even when stdout is a file.
+    std::fflush(stdout);
     report.row()
         .set("family", family)
         .set("n", n)

@@ -9,7 +9,6 @@
 // rows; a failed decomposition or gate validation throws.
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <string>
 #include <utility>
 #include <vector>
@@ -49,21 +48,9 @@ int sqrt_seeds(VertexId n) {
   return std::max(2, static_cast<int>(std::sqrt(n)));
 }
 
-bench::JsonRow& row(bench::JsonReport& report, const char* experiment) {
-  return report.row().set("experiment", experiment);
-}
-
-/// The one printer: every field of the row but the machine-shape ones, in
-/// the order they were set.
-void print(const bench::JsonRow& r) {
-  const char* sep = "";
-  for (const auto& [key, value] : r.fields()) {
-    if (key == "hardware_concurrency" || key == "peak_rss_bytes") continue;
-    std::printf("%s%s=%s", sep, key.c_str(), value.c_str());
-    sep = "  ";
-  }
-  std::printf("\n");
-}
+using bench::Method;
+using bench::print;
+using bench::row;
 
 /// One row per (instance, construction) pair: builds `parts`' shortcut
 /// through the engine and records what it measured (E1, E6, E9, E10).
@@ -76,11 +63,6 @@ bench::JsonRow& build_row(bench::JsonReport& report, const char* experiment,
   return row(report, experiment).set("family", family)
       .set("n", g.num_vertices()).set("method", method).set_metrics(m);
 }
-
-struct Method {
-  const char* name;
-  StructuralCertificate cert;
-};
 
 /// An s x s grid on the genus-`genus` surface with `vortices` depth-`depth`
 /// vortices on disjoint simple faces, and the Lemma 2-3 decomposition of

@@ -2,9 +2,12 @@
 // binary answers one question with a self-contained table; they are
 // deterministic (fixed seeds), so bench/baselines/ can pin their rows.
 //
-// All workload traffic goes through congest::Session (the one solver API;
+// Workload traffic goes through congest::Session (the one solver API;
 // shortcut construction dispatches on its certificate through ShortcutEngine
-// + cache) — benches never call the constructions by hand. Alongside the
+// + cache). The exceptions measure a construction on its own:
+// bench_shortcuts builds through ShortcutEngine directly, and the fully
+// distributed construction (E13's last row, E14) runs
+// distributed_capped_greedy on a bare Simulator. Alongside the
 // human-readable table every harness records a machine-readable
 // BENCH_<name>.json. Every row that reports rounds also reports
 // messages_sent, so the JSON captures congestion, not just round counts.
@@ -69,7 +72,7 @@ inline void header(const char* title) {
 class JsonRow {
  public:
   JsonRow& set(const std::string& key, long long value) {
-    fields_.emplace_back(key, std::to_string(value));
+    fields_.emplace_back(key, io::json_number(value));
     return *this;
   }
   JsonRow& set(const std::string& key, int value) {
@@ -79,9 +82,7 @@ class JsonRow {
     return set(key, static_cast<long long>(value));
   }
   JsonRow& set(const std::string& key, double value) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    fields_.emplace_back(key, buf);
+    fields_.emplace_back(key, io::json_number(value));
     return *this;
   }
   JsonRow& set(const std::string& key, const char* value) {
@@ -216,5 +217,30 @@ class JsonReport {
   std::vector<JsonRow> rows_;
   bool written_ = false;
 };
+
+/// A named shortcut construction: one table row per method on an instance.
+struct Method {
+  const char* name;
+  StructuralCertificate cert;
+};
+
+/// A new row of a multi-experiment table, tagged "experiment": `experiment`.
+inline JsonRow& row(JsonReport& report, const char* experiment) {
+  return report.row().set("experiment", experiment);
+}
+
+/// The one table printer: every field of the row but the machine-shape
+/// ones, in the order they were set, on one line. Flushed per row, so a
+/// long run shows its progress even when stdout is redirected.
+inline void print(const JsonRow& r, std::FILE* out = stdout) {
+  const char* sep = "";
+  for (const auto& [key, value] : r.fields()) {
+    if (key == "hardware_concurrency" || key == "peak_rss_bytes") continue;
+    std::fprintf(out, "%s%s=%s", sep, key.c_str(), value.c_str());
+    sep = "  ";
+  }
+  std::fputc('\n', out);
+  std::fflush(out);
+}
 
 }  // namespace mns::bench

@@ -287,7 +287,8 @@ bool parse_args(int argc, char** argv, int first, Args& out) {
 // ------------------------------------------------------------- instances --
 
 /// Seeded family instance — the same generators and default seeds as
-/// bench_session/bench_sssp, so snapshots reproduce the bench trajectories.
+/// bench_session and bench_rounds' E15, so snapshots reproduce the bench
+/// trajectories.
 io::Snapshot gen_instance(const std::string& family, long long size,
                           std::optional<unsigned> seed) {
   io::Snapshot snap;

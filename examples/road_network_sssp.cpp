@@ -78,7 +78,7 @@ int main() {
   congest::ApproxSssp query{w, depot};
   query.epsilon = eps;
   // Long Voronoi cells (each spans many snake hops per jump) and a single
-  // partition phase — the tuning bench_sssp uses on every family.
+  // partition phase — the tuning bench_rounds' E15 uses on every family.
   query.num_seeds = 8;
   query.repartition_growth = 1.0;
   congest::RunReport ap = session.solve(query);

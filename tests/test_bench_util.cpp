@@ -1,9 +1,9 @@
 // End-to-end contract for the bench JSON writer: JsonRow must escape every
 // control character (a stray newline/tab in a field used to produce an
 // unparseable BENCH_*.json), and a written JsonReport must parse back as
-// real JSON with the original strings intact. The parser below is a minimal
-// RFC 8259 subset (objects / arrays / strings / numbers) — enough to reject
-// any malformed output.
+// real JSON with the original strings intact. The table printer shares the
+// row's fields. The parser below is a minimal RFC 8259 subset (objects /
+// arrays / strings / numbers) — enough to reject any malformed output.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -185,6 +185,26 @@ TEST(JsonRow, EscapesControlCharacters) {
   // No raw control characters may survive.
   for (char c : rendered)
     EXPECT_GE(static_cast<unsigned char>(c), 0x20u);
+}
+
+TEST(BenchPrint, FieldsInSetOrderWithoutMachineShape) {
+  // The one table printer: a row prints its own fields in the order they
+  // were set, and never the machine-shape keys (wherever they sit).
+  bench::JsonRow r;
+  r.set("hardware_concurrency", 8)
+      .set("experiment", "E0")
+      .set("n", 42)
+      .set("peak_rss_bytes", 1LL << 20)
+      .set("ratio", 1.0 / 3.0);
+  std::FILE* out = std::tmpfile();
+  ASSERT_NE(out, nullptr);
+  bench::print(r, out);
+  std::rewind(out);
+  char line[256] = {};
+  const bool read = std::fgets(line, sizeof line, out) != nullptr;
+  std::fclose(out);
+  ASSERT_TRUE(read);
+  EXPECT_STREQ(line, "experiment=\"E0\"  n=42  ratio=0.333333\n");
 }
 
 TEST(JsonReport, WrittenFileParsesEndToEnd) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <thread>
 #include <vector>
@@ -118,6 +119,59 @@ TEST(MisWorkload, SeedChangesPrioritiesDeterministically) {
   RunReport ra = a.solve("mis", p);
   RunReport rb = b.solve("mis", p);
   EXPECT_TRUE(io::run_reports_identical(ra, rb));
+}
+
+/// An independent sequential Luby with the step structure of SNIPPETS.md's
+/// `fast_mis_2`: each phase every undecided vertex draws
+/// mis_priority(seed, phase, v) and wins when no undecided neighbour
+/// outranks it (a larger priority, or an equal one and a smaller id); the
+/// winners join and their undecided neighbours drop out.
+struct SequentialLuby {
+  std::vector<char> in_mis;
+  int phases = 0;
+};
+
+SequentialLuby sequential_luby(const Graph& g, std::uint64_t seed) {
+  enum : char { kUndecided, kIn, kOut };
+  std::vector<char> state(static_cast<std::size_t>(g.num_vertices()),
+                          kUndecided);
+  SequentialLuby out;
+  while (std::find(state.begin(), state.end(), kUndecided) != state.end()) {
+    std::vector<VertexId> winners;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      if (state[v] != kUndecided) continue;
+      const std::int64_t mine = congest::mis_priority(seed, out.phases, v);
+      bool wins = true;
+      for (VertexId u : g.neighbors(v)) {
+        if (state[u] != kUndecided) continue;
+        const std::int64_t theirs = congest::mis_priority(seed, out.phases, u);
+        if (theirs > mine || (theirs == mine && u < v)) wins = false;
+      }
+      if (wins) winners.push_back(v);
+    }
+    for (VertexId v : winners) state[v] = kIn;
+    for (VertexId v : winners)
+      for (VertexId u : g.neighbors(v))
+        if (state[u] == kUndecided) state[u] = kOut;
+    ++out.phases;
+  }
+  for (char s : state) out.in_mis.push_back(s == kIn ? 1 : 0);
+  return out;
+}
+
+TEST(MisWorkload, SequentialLubyReproducesTheProgramExactly) {
+  for (const FamilyCase& fam : workload_families()) {
+    for (std::uint64_t seed : {1u, 3u, 7u, 99u}) {
+      SCOPED_TRACE(fam.name + " seed " + std::to_string(seed));
+      congest::Simulator sim(fam.graph);
+      congest::MisOptions options;
+      options.seed = seed;
+      const congest::MisResult got = congest::luby_mis(sim, options);
+      const SequentialLuby want = sequential_luby(fam.graph, seed);
+      EXPECT_EQ(got.in_mis, want.in_mis);
+      EXPECT_EQ(got.phases, want.phases);
+    }
+  }
 }
 
 // -------------------------------------------------------- dominating set
