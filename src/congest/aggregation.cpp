@@ -175,12 +175,12 @@ PartwiseAggregator::PartwiseAggregator(const Graph& g, const Partition& parts,
 /// and the slot's record notes the part tag and the receiving participation.
 /// A slot is active exactly while it has a dirty bit, so activity is read
 /// off the words themselves. Receive: the record names the participation to
-/// compare against, and an improvement sets the precomputed redirty_ bits.
-/// The transmit order and re-dirty order are those of the original
-/// per-message search, so traffic is byte-identical (pinned by
-/// test_wire_parity's recorded digests). receive_batch absorbs a one-shard
-/// round in batch order and wakes receivers in first-delivery order, which
-/// is receive()'s effect exactly (vertex_program.hpp).
+/// compare against, and an improvement sets the precomputed redirty_ bits,
+/// all but the one back along the delivering edge (no echo; absorb()).
+/// test_wire_parity pins the resulting traffic to recorded digests.
+/// receive_batch absorbs a one-shard round in batch order and wakes
+/// receivers in first-delivery order, which is receive()'s effect exactly
+/// (vertex_program.hpp).
 struct PartwiseAggregator::Program {
   const std::uint32_t* poe_off;
   const PartId* poe_flat;
@@ -302,7 +302,10 @@ struct PartwiseAggregator::Program {
   /// Absorbs the delivery `msg` on slot d at its receiver v; true if an
   /// improvement activated one of v's outgoing slots. The tag check catches
   /// a payload the transport substituted for something the sender did not
-  /// send.
+  /// send. An improvement re-dirties every bit of its participation except
+  /// the one on d ^ 1, back toward the sender: the sender holds at most the
+  /// value it just sent, so the echo could not improve it. A reverse bit
+  /// that is already dirty stays dirty.
   bool absorb(VertexId v, std::uint32_t d, const Message& msg) {
     const SentRecord rec = record[d];
     require(rec.tag == msg.tag,
@@ -310,10 +313,12 @@ struct PartwiseAggregator::Program {
     const AggValue incoming{msg.value, msg.aux};
     if (!(incoming < state[rec.receiver])) return false;
     state[rec.receiver] = incoming;
+    const std::uint32_t back = d ^ 1u;
     bool woke = false;
     for (std::uint32_t r = redirty_off[rec.receiver];
          r < redirty_off[rec.receiver + 1]; ++r)
-      woke |= mark_dirty(v, redirty[r].slot, redirty[r].bit);
+      if (redirty[r].slot != back)
+        woke |= mark_dirty(v, redirty[r].slot, redirty[r].bit);
     return woke;
   }
 

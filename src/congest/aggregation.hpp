@@ -13,8 +13,10 @@
 // sender also records, per directed slot, the part tag it sent and the
 // receiver's participation index, so receiving is one record load. On one
 // shard the flood absorbs each round in batch order (no inbox scatter;
-// vertex_program.hpp). aggregate_min reuses one per-run workspace across
-// calls, frontier bookkeeping included.
+// vertex_program.hpp). An improvement is never queued back along the edge
+// it arrived on: the neighbour there already holds at most that value
+// (DESIGN.md §9, no echo). aggregate_min reuses one per-run workspace
+// across calls, frontier bookkeeping included.
 #pragma once
 
 #include <cstddef>
@@ -121,7 +123,8 @@ class PartwiseAggregator {
   // through it; the receiver of slot d finds its own state at side d^1.
   std::vector<std::uint32_t> owner_;  // size 2 * poe_flat_.size()
   // For participation s = (v, p): v's outgoing bits that carry p, in
-  // incident_edges(v) order — exactly what an improvement at s re-dirties.
+  // incident_edges(v) order — what an improvement at s re-dirties, except
+  // the bit back toward the neighbour it came from.
   std::vector<std::uint32_t> redirty_offset_;  // size participations_+1
   std::vector<SlotBit> redirty_;
   // Participation index of (v, part_of(v)); unused for kNoPart vertices.

@@ -18,19 +18,25 @@ constexpr AggValue kNoValue{std::numeric_limits<std::int64_t>::max(),
                             std::numeric_limits<std::int32_t>::max()};
 
 /// Event-driven lock-step Bellman-Ford as a VertexProgram: frontier nodes
-/// re-broadcast their estimate; receivers relax (v-local writes only) and
-/// queue newly woken nodes in per-shard lists. Doubles as exact_sssp's whole
-/// run (unbounded budget) and approx_sssp's bounded bursts (the program
-/// survives across bursts; frontier/in_frontier/dist live with the caller
-/// because cluster jumps mutate them between bursts). The optional
-/// reached/part-dirty hooks are approx-only cross-vertex effects, funneled
-/// through PerShard accumulators and merged at the barrier.
+/// re-broadcast their estimate to every neighbour but the one across
+/// via[v]; receivers relax (v-local writes only) and queue newly woken
+/// nodes in per-shard lists. Doubles as exact_sssp's whole run (unbounded
+/// budget) and approx_sssp's bounded bursts (the program survives across
+/// bursts; frontier/in_frontier/dist live with the caller because cluster
+/// jumps mutate them between bursts). The optional reached/part-dirty hooks
+/// are approx-only cross-vertex effects, funneled through PerShard
+/// accumulators and merged at the barrier.
 struct BellmanFordProgram {
   const Graph& g;
   const std::vector<Weight>& w;
   std::vector<Weight>& dist;
   std::vector<char>& in_frontier;
   std::vector<VertexId>& frontier_list;
+  /// The edge whose delivery last set dist[v], kInvalidEdge if none. The
+  /// neighbour across it sent dist[v] - w(e) and its estimate only falls,
+  /// so sending dist[v] back cannot relax it. Any other write to dist[v]
+  /// must reset it (approx_sssp's jump_relax).
+  std::vector<EdgeId> via;
   // approx-only hooks; null for exact_sssp.
   long long* reached = nullptr;
   const Partition* const* parts = nullptr;  ///< current phase partition slot
@@ -47,7 +53,10 @@ struct BellmanFordProgram {
                      std::vector<Weight>& d, std::vector<char>& inf,
                      std::vector<VertexId>& fl)
       : g(sim.graph()), w(weights), dist(d), in_frontier(inf),
-        frontier_list(fl), next(sim.num_shards()),
+        frontier_list(fl),
+        via(static_cast<std::size_t>(sim.graph().num_vertices()),
+            kInvalidEdge),
+        next(sim.num_shards()),
         reached_delta(sim.num_shards()), woken_parts(sim.num_shards()),
         improved_flag(sim.num_shards()) {}
 
@@ -64,9 +73,10 @@ struct BellmanFordProgram {
   }
 
   void send(VertexId v, VertexSender& out) {
-    in_frontier[static_cast<std::size_t>(v)] = 0;
+    const std::size_t vi = static_cast<std::size_t>(v);
+    in_frontier[vi] = 0;
     for (EdgeId e : g.incident_edges(v))
-      out.send(e, Message{0, 0, dist[static_cast<std::size_t>(v)]});
+      if (e != via[vi]) out.send(e, Message{0, 0, dist[vi]});
   }
 
   void receive(VertexId v, Inbox inbox,
@@ -78,6 +88,7 @@ struct BellmanFordProgram {
           dist[static_cast<std::size_t>(v)] == kUnreachedWeight)
         ++reached_delta[ctx.shard];
       dist[static_cast<std::size_t>(v)] = cand;
+      via[static_cast<std::size_t>(v)] = d.edge;
       improved_flag[ctx.shard] = 1;
       if (parts != nullptr && *parts != nullptr) {
         const PartId p = (*parts)->part_of(v);
@@ -239,19 +250,6 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
   std::vector<Weight> cdist;
   std::vector<char> part_dirty;
 
-  // The jump-side relax (sequential, mark_part=false semantics); burst-side
-  // relaxes live in BellmanFordProgram::receive with part marking on.
-  auto jump_relax = [&](VertexId v, Weight cand) {
-    if (cand >= out.dist[v]) return false;
-    if (out.dist[v] == kUnreachedWeight) ++reached;
-    out.dist[v] = cand;
-    if (!in_frontier[v]) {
-      in_frontier[v] = 1;
-      frontier.push_back(v);
-    }
-    return true;
-  };
-
   // Bounded event-driven Bellman-Ford burst (the same program as
   // exact_sssp, capped at `max_rounds`; reused across bursts).
   BellmanFordProgram burst(sim, w2, out.dist, in_frontier, frontier);
@@ -262,6 +260,22 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
     burst.start_burst(max_rounds);
     (void)run_vertex_program(sim, burst);
     return burst.improved;
+  };
+
+  // The jump-side relax (sequential, mark_part=false semantics); burst-side
+  // relaxes live in BellmanFordProgram::receive with part marking on. The
+  // new estimate came through the cell seed, not over v's last relaxing
+  // edge, so v must send to every neighbour again.
+  auto jump_relax = [&](VertexId v, Weight cand) {
+    if (cand >= out.dist[v]) return false;
+    if (out.dist[v] == kUnreachedWeight) ++reached;
+    out.dist[v] = cand;
+    burst.via[v] = kInvalidEdge;
+    if (!in_frontier[v]) {
+      in_frontier[v] = 1;
+      frontier.push_back(v);
+    }
+    return true;
   };
 
   // Per-phase partition state: weighted Voronoi cells seeded around the

@@ -61,8 +61,10 @@ struct CliqueSumCertificate {
   /// Wrap `local_oracle` in the Lemma 9 apex oracle (consumes `bag_apices`).
   bool apex_aware = false;
   /// Per ORIGINAL bag: apex vertices (global ids) forwarded into the local
-  /// instances.
-  std::vector<std::vector<VertexId>> bag_apices;
+  /// instances. Default-initialized like every other member, so
+  /// `CliqueSumCertificate{decomposition}` builds clean under
+  /// -Wmissing-field-initializers.
+  std::vector<std::vector<VertexId>> bag_apices{};
 };
 
 using StructuralCertificate =

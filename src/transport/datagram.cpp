@@ -6,8 +6,11 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <fstream>
+#include <limits>
 
 #include "transport/transport.hpp"
 
@@ -17,6 +20,13 @@ namespace {
 
 std::string errno_text(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
+}
+
+/// The largest SO_RCVBUF an unprivileged socket may request; 0 if unknown.
+std::size_t rmem_max() {
+  std::ifstream in("/proc/sys/net/core/rmem_max");
+  std::size_t bytes = 0;
+  return in >> bytes ? bytes : 0;
 }
 
 }  // namespace
@@ -88,6 +98,25 @@ void UdpTransport::send(int to_rank, std::span<const std::uint8_t> datagram) {
   if (sent < 0 && errno != EAGAIN && errno != EWOULDBLOCK &&
       errno != ENOBUFS && errno != ECONNREFUSED)
     throw TransportError(errno_text("UdpTransport: sendto"));
+}
+
+void UdpTransport::reserve_receive(std::size_t datagrams) {
+  std::size_t want = datagrams * kDatagramTruesize;
+  if (const std::size_t cap = rmem_max(); cap > 0) want = std::min(want, cap);
+  want = std::min<std::size_t>(want, std::numeric_limits<int>::max());
+  if (want <= receive_buffer_bytes()) return;
+  // Best effort: the kernel clamps the request itself, and a buffer that
+  // stays small only costs retransmits.
+  const int bytes = static_cast<int>(want);
+  (void)::setsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, sizeof bytes);
+}
+
+std::size_t UdpTransport::receive_buffer_bytes() const {
+  int bytes = 0;
+  socklen_t len = sizeof bytes;
+  if (::getsockopt(fd_, SOL_SOCKET, SO_RCVBUF, &bytes, &len) != 0 || bytes < 0)
+    return 0;
+  return static_cast<std::size_t>(bytes);
 }
 
 bool UdpTransport::receive(std::vector<std::uint8_t>& out, int timeout_ms) {

@@ -35,6 +35,11 @@ class DatagramTransport {
   /// Blocks up to `timeout_ms` for one datagram; false on timeout. The
   /// sender's identity travels inside the packet header, not the transport.
   virtual bool receive(std::vector<std::uint8_t>& out, int timeout_ms) = 0;
+
+  /// Asks for room to queue `datagrams` full-size datagrams that arrive
+  /// while the owner is not receiving (SocketTransport: `window` from every
+  /// peer). A hint; the default has no queue to size.
+  virtual void reserve_receive(std::size_t datagrams) { (void)datagrams; }
 };
 
 /// One peer's UDP address.
@@ -51,6 +56,11 @@ struct PeerAddress {
 class UdpTransport final : public DatagramTransport {
  public:
   static constexpr std::size_t kMaxDatagramBytes = 1400;
+  /// Estimated kernel charge (truesize) for one queued full-size datagram:
+  /// the payload in a 4 KiB page plus the socket buffer's bookkeeping, as a
+  /// page-backed NIC receive path charges it. Loopback charges less (2.25
+  /// KiB on x86-64 Linux 6), so the estimate errs toward room.
+  static constexpr std::size_t kDatagramTruesize = 4608;
 
   /// Binds to host:port (port 0 = ephemeral). Throws TransportError on
   /// socket failure.
@@ -69,6 +79,15 @@ class UdpTransport final : public DatagramTransport {
 
   void send(int to_rank, std::span<const std::uint8_t> datagram) override;
   bool receive(std::vector<std::uint8_t>& out, int timeout_ms) override;
+
+  /// Requests SO_RCVBUF room for `datagrams` * kDatagramTruesize bytes,
+  /// capped at /proc/sys/net/core/rmem_max (read, never raised). Never
+  /// shrinks the buffer; a refused request leaves it as it was.
+  void reserve_receive(std::size_t datagrams) override;
+
+  /// The receive buffer as the kernel reports it (getsockopt SO_RCVBUF;
+  /// Linux reports twice what was requested, for its bookkeeping).
+  [[nodiscard]] std::size_t receive_buffer_bytes() const;
 
  private:
   int fd_ = -1;

@@ -46,6 +46,9 @@ class FaultInjectingTransport final : public DatagramTransport {
 
   void send(int to_rank, std::span<const std::uint8_t> datagram) override;
   bool receive(std::vector<std::uint8_t>& out, int timeout_ms) override;
+  void reserve_receive(std::size_t datagrams) override {
+    inner_->reserve_receive(datagrams);
+  }
 
   [[nodiscard]] long long dropped() const noexcept { return dropped_; }
   [[nodiscard]] long long duplicated() const noexcept { return duplicated_; }

@@ -111,6 +111,10 @@ SocketTransport::SocketTransport(const Graph& graph,
     throw TransportError("SocketTransport: bad window/timeout configuration");
   links_.resize(static_cast<std::size_t>(config_.ranks));
   if (config_.ranks == 1) return;  // exchange() never routes anything
+  // Every peer may have a window of packets in flight toward this rank
+  // while it computes its round instead of receiving.
+  net_->reserve_receive(static_cast<std::size_t>(config_.window) *
+                        static_cast<std::size_t>(config_.ranks - 1));
   route_.resize(2 * static_cast<std::size_t>(graph.num_edges()));
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     const Edge& ed = graph.edge(e);

@@ -5,7 +5,9 @@
 // claims.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "congest/aggregation.hpp"
 #include "congest/simulator.hpp"
@@ -136,6 +138,67 @@ TEST(AggregationProperty, UnassignedVerticesDoNotParticipate) {
   auto res = agg.aggregate_min(sim, init);
   EXPECT_EQ(res.min_of_part[0].value, 4);
   EXPECT_EQ(res.min_of_part[0].aux, 1);
+}
+
+// ------------------------------------------------ closed-form flood costs
+//
+// One part, an empty shortcut, and one finite value at `root` of a tree:
+// every other member improves exactly once, from its parent, and never
+// sends the value back (DESIGN.md §9, no echo). So the flood sends one
+// message per tree edge and ends after the root's eccentricity in rounds.
+// A kernel that echoes sends 2(n - 1) messages and one round more.
+
+struct FloodCost {
+  long long rounds = 0;
+  long long messages = 0;
+};
+
+FloodCost flood_from(const Graph& g, VertexId root) {
+  const VertexId n = g.num_vertices();
+  const Partition one(std::vector<PartId>(static_cast<std::size_t>(n), 0));
+  Shortcut none;
+  none.edges_of_part.resize(1);
+  congest::PartwiseAggregator agg(g, one, none);
+  congest::Simulator sim(g);
+  std::vector<AggValue> init(static_cast<std::size_t>(n),
+                             {std::numeric_limits<std::int64_t>::max(),
+                              std::numeric_limits<std::int32_t>::max()});
+  init[static_cast<std::size_t>(root)] = {7, root};
+  const congest::AggregationResult res = agg.aggregate_min(sim, init);
+  EXPECT_EQ(res.min_of_part[0], init[static_cast<std::size_t>(root)]);
+  EXPECT_EQ(res.rounds, sim.rounds());
+  return {res.rounds, sim.messages_sent()};
+}
+
+TEST(AggregationClosedForm, PathFromAnEndSendsOneMessagePerEdge) {
+  for (VertexId n : {2, 3, 17, 200}) {
+    SCOPED_TRACE(n);
+    const FloodCost c = flood_from(gen::path(n), 0);
+    EXPECT_EQ(c.messages, n - 1);
+    EXPECT_EQ(c.rounds, n - 1);
+  }
+}
+
+TEST(AggregationClosedForm, StarFromItsCentreTakesOneRound) {
+  for (VertexId leaves : {1, 5, 300}) {
+    SCOPED_TRACE(leaves);
+    const FloodCost c = flood_from(gen::star(leaves), 0);
+    EXPECT_EQ(c.messages, leaves);
+    EXPECT_EQ(c.rounds, 1);
+  }
+}
+
+TEST(AggregationClosedForm, RandomTreeTakesTheRootsEccentricity) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Rng rng(seed);
+    const Graph g = gen::random_tree(400, rng);
+    for (VertexId root : {0, 123}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " root " << root);
+      const FloodCost c = flood_from(g, root);
+      EXPECT_EQ(c.messages, g.num_vertices() - 1);
+      EXPECT_EQ(c.rounds, bfs(g, root).max_distance());
+    }
+  }
 }
 
 class QualityMonotonicity : public ::testing::TestWithParam<int> {};

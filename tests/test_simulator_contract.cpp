@@ -269,7 +269,9 @@ TEST(SimulatorContract, FrontierResetsAcrossSparseRounds) {
     ASSERT_EQ(sim.inbox(v + 1).size(), 1u);
     EXPECT_EQ(sim.inbox(v + 1)[0].msg.value, v);
     // Last round's receiver is clean again.
-    if (v > 0) EXPECT_TRUE(sim.inbox(v - 100 + 1).empty());
+    if (v > 0) {
+      EXPECT_TRUE(sim.inbox(v - 100 + 1).empty());
+    }
     // Spot-check nodes that never received anything.
     EXPECT_TRUE(sim.inbox(v == 0 ? 500 : 0).empty());
   }

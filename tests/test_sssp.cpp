@@ -8,8 +8,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "congest/session.hpp"
+#include "congest/sssp.hpp"
 #include "core/shortcut_engine.hpp"
 #include "gen/apex.hpp"
 #include "gen/basic.hpp"
@@ -152,6 +156,23 @@ TEST(ExactSssp, RoundsTrackShortestPathHops) {
   EXPECT_LE(res.rounds, 40);
 }
 
+TEST(ExactSssp, PathFromAnEndSendsOneMessagePerEdge) {
+  // Each vertex relaxes once, from its predecessor, and never sends its
+  // estimate back over that edge; the far end still spends the last round
+  // on an empty send.
+  Rng rng(5);
+  for (VertexId n : {2, 40}) {
+    SCOPED_TRACE(n);
+    Graph g = gen::path(n);
+    const std::vector<Weight> w = gen::random_weights(g, 1, 9, rng);
+    Session s = greedy_session(g);
+    RunReport res = s.solve(congest::ExactSssp{w, 0});
+    EXPECT_EQ(res.messages, n - 1);
+    EXPECT_EQ(res.rounds, n);
+    EXPECT_EQ(res.sssp().dist, dijkstra(g, w, 0).dist);
+  }
+}
+
 TEST(ApproxSssp, WithinEpsOnGridGreedyCertificate) {
   Rng rng(41);
   Graph g = gen::grid(12, 12).graph();
@@ -213,6 +234,72 @@ TEST(ApproxSssp, ExactWhenWeightsAlreadyOnLadder) {
   ShortestPathResult ref = dijkstra(g, w, 0);
   for (VertexId v = 0; v < g.num_vertices(); ++v)
     EXPECT_EQ(res.sssp().dist[v], ref.dist[v]) << "vertex " << v;
+}
+
+struct FixedPointCase {
+  const char* family;
+  Graph g;
+  StructuralCertificate cert;
+  std::uint64_t weight_seed;
+  double epsilon;
+  VertexId source;
+};
+
+TEST(ApproxSssp, ReachesTheExactFixedPointUnderRoundedWeights) {
+  // approx_sssp runs to quiescence, so every estimate must equal Dijkstra's
+  // distance under round_weights(w, eps), not merely lie within (1+eps) of
+  // the true one — with wavefront cells, stride cells and LDD-pinned cells.
+  // On each case, some configuration stops short of that fixed point if a
+  // cluster jump leaves the vertex's last relaxing edge in place: the
+  // vertex then never sends its jumped estimate over that edge.
+  std::vector<FixedPointCase> cases;
+  cases.push_back(
+      {"planar", gen::grid(24, 24).graph(), greedy_certificate(), 64, 0.10, 0});
+  cases.push_back({"planar", gen::grid(24, 24).graph(), greedy_certificate(),
+                   22, 0.10, 575});
+  {
+    Rng rng(4);
+    gen::KTreeResult kt = gen::random_ktree(576, 3, rng);
+    cases.push_back({"treewidth", kt.graph,
+                     treewidth_certificate(kt.decomposition), 29, 0.10, 522});
+  }
+  {
+    Rng rng(2);
+    gen::ApexResult ar =
+        gen::add_apices(gen::grid(24, 24).graph(), 1, 0.15, rng);
+    cases.push_back(
+        {"apex", ar.graph, apex_certificate(ar.apices), 15, 0.25, 0});
+  }
+  {
+    Rng rng(3);
+    Graph bag = gen::triangulated_grid(6, 6).graph();
+    std::vector<gen::BagInput> inputs;
+    for (int i = 0; i < 12; ++i)
+      inputs.push_back({bag, gen::default_glue_cliques(bag, 2)});
+    gen::CliqueSumResult cs = gen::compose_clique_sum(inputs, 2, 0.0, rng);
+    cases.push_back({"cliquesum", cs.graph,
+                     cliquesum_certificate(cs.decomposition), 22, 0.10, 412});
+  }
+  for (const FixedPointCase& c : cases) {
+    Rng wrng(c.weight_seed);
+    const std::vector<Weight> w = gen::unique_random_weights(c.g, wrng);
+    const std::vector<Weight> want =
+        dijkstra(c.g, congest::round_weights(w, c.epsilon), c.source).dist;
+    for (const char* cells : {"wavefront", "stride", "ldd"}) {
+      SCOPED_TRACE(testing::Message() << c.family << " source " << c.source
+                                      << " cells " << cells);
+      congest::SessionConfig cfg;
+      cfg.tree = center_tree_factory(99);
+      Session s(c.g, c.cert, std::move(cfg));
+      congest::ApproxSssp query{w, c.source};
+      query.epsilon = c.epsilon;
+      query.wavefront_seeds = std::string(cells) == "wavefront";
+      congest::SolveOptions opt;
+      if (std::string(cells) == "ldd")
+        opt.partition = congest::PartitionSource::kLdd;
+      EXPECT_EQ(s.solve(query, opt).sssp().dist, want);
+    }
+  }
 }
 
 TEST(ApproxSssp, RejectsDisconnectedGraphs) {

@@ -16,8 +16,10 @@
 // detector too.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <span>
 #include <string>
@@ -590,6 +592,48 @@ TEST(TransportLimits, RankCountFitsTheOneByteRankField) {
   EXPECT_THROW(SocketTransport(g, cfg,
                                std::make_unique<transport::UdpTransport>()),
                transport::TransportError);
+}
+
+/// Records the receive room a SocketTransport asks its datagram layer for.
+class ReserveRecorder final : public transport::DatagramTransport {
+ public:
+  explicit ReserveRecorder(std::size_t* reserved) : reserved_(reserved) {}
+  void send(int, std::span<const std::uint8_t>) override {}
+  bool receive(std::vector<std::uint8_t>&, int) override { return false; }
+  void reserve_receive(std::size_t datagrams) override {
+    *reserved_ = datagrams;
+  }
+
+ private:
+  std::size_t* reserved_;
+};
+
+TEST(TransportLimits, SocketTransportReservesAWindowFromEveryPeer) {
+  Graph g = gen::path(3);
+  SocketTransportConfig cfg;
+  cfg.ranks = 3;
+  cfg.window = 16;
+  std::size_t reserved = 0;
+  SocketTransport rank0(g, cfg, std::make_unique<ReserveRecorder>(&reserved));
+  EXPECT_EQ(reserved, 16u * 2u);
+}
+
+TEST(TransportLimits, UdpReceiveBufferHoldsTheReservedDatagrams) {
+  // The request is capped at the kernel's rmem_max, which the transport
+  // reads and never raises; the test reads it the same way.
+  const std::size_t datagrams = 64;
+  const std::size_t requested =
+      datagrams * transport::UdpTransport::kDatagramTruesize;
+  std::size_t cap = requested;
+  std::ifstream rmem_max("/proc/sys/net/core/rmem_max");
+  if (std::size_t limit = 0; rmem_max >> limit) cap = std::min(cap, limit);
+  transport::UdpTransport udp;
+  udp.reserve_receive(datagrams);
+  EXPECT_GE(udp.receive_buffer_bytes(), cap);
+  // A smaller reservation never shrinks the buffer.
+  const std::size_t grown = udp.receive_buffer_bytes();
+  udp.reserve_receive(1);
+  EXPECT_EQ(udp.receive_buffer_bytes(), grown);
 }
 
 // ------------------------------------------------- serving over transport --

@@ -15,7 +15,9 @@
 // reproduce the recorded (rounds, messages, digest) on one instance per
 // certificate family at widths 1 and 4. Width parity alone cannot catch a
 // kernel change that reorders sends consistently at every width; the
-// recorded digests can. They depend on libstdc++'s std::shuffle and
+// recorded digests can. Each pin also carries an answer digest (the
+// payload a run returns), so a change meant to move traffic alone shows
+// that the answers stayed put. They depend on libstdc++'s std::shuffle and
 // distributions, like bench/baselines/ (DESIGN.md §8). The Wide* and
 // *Aggregator* cases pin a direct PartwiseAggregator the same way: edges
 // carrying more than 64 parts (multi-word dirty masks), reuse of one
@@ -29,6 +31,7 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "congest/aggregation.hpp"
@@ -309,36 +312,100 @@ struct TrafficPin {
   long long rounds;
   long long messages;
   std::uint64_t digest;
+  std::uint64_t answer;  ///< answer_digest of the report
 };
 
-/// Recorded from the aggregation kernel that still binary-searched its part
-/// lists per send and per receive; the search-free kernel must match it
-/// byte for byte.
+/// FNV-1a over a vector's element bytes; T must have no padding.
+template <typename T>
+std::uint64_t fold(std::uint64_t h, const std::vector<T>& xs) {
+  return fnv1a(h, xs.data(), xs.size() * sizeof(T));
+}
+
+/// FNV-1a over what a run answered, not what it cost: MST edges and
+/// fragments, min-cut value and trees, SSSP distances (not `jumps`, which
+/// the burst budget may move), MIS membership.
+std::uint64_t answer_digest(const congest::RunReport& r) {
+  std::uint64_t h = 14695981039346656037ULL;
+  if (const auto* p = std::get_if<congest::MstPayload>(&r.payload)) {
+    h = fold(h, p->edges);
+    h = fold(h, p->fragment_of);
+  } else if (const auto* p = std::get_if<congest::MinCutPayload>(&r.payload)) {
+    h = fnv1a(h, &p->value, sizeof(p->value));
+    h = fnv1a(h, &p->trees, sizeof(p->trees));
+  } else if (const auto* p = std::get_if<congest::SsspPayload>(&r.payload)) {
+    h = fold(h, p->dist);
+  } else if (const auto* p = std::get_if<congest::MisPayload>(&r.payload)) {
+    h = fold(h, p->in_mis);
+  } else {
+    ADD_FAILURE() << "no answer digest for workload " << r.workload;
+  }
+  return h;
+}
+
+/// Part minima field by field (AggValue has padding).
+std::uint64_t answer_digest(const std::vector<congest::AggValue>& mins) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const congest::AggValue& x : mins) {
+    h = fnv1a(h, &x.value, sizeof(x.value));
+    h = fnv1a(h, &x.aux, sizeof(x.aux));
+  }
+  return h;
+}
+
+/// Recorded from the no-echo kernels: an aggregation improvement never
+/// re-dirties the bit back toward its sender, and Bellman-Ford never sends
+/// back over the edge that last relaxed a vertex (DESIGN.md §9). Those
+/// rules moved rounds, messages and digests; the answer digests were
+/// recorded on the kernels before them and did not move.
 constexpr TrafficPin kTrafficPins[] = {
-    {"planar", "mst", 239, 66082, 0xe3265458ad266ef3ULL},
-    {"planar", "mincut4", 849, 300042, 0xdadaa1ddbbd9d791ULL},
-    {"planar", "sssp.wavefront", 84, 21473, 0xbce052d131b57a7eULL},
-    {"planar", "sssp.stride", 90, 27837, 0x387973fb95f45211ULL},
-    {"planar", "mst.ldd", 865, 271089, 0x6aee4531e182f56aULL},
-    {"planar", "mis", 6, 2803, 0xa9750ecc7a5685c5ULL},
-    {"treewidth", "mst", 55, 38547, 0x9489004c90af89eaULL},
-    {"treewidth", "mincut4", 120, 101683, 0x41c2da08f4a9116eULL},
-    {"treewidth", "sssp.wavefront", 30, 18977, 0xddd6732d8c94b9c4ULL},
-    {"treewidth", "sssp.stride", 30, 18543, 0xe253a94b09910bb4ULL},
-    {"treewidth", "mst.ldd", 225, 142059, 0xfe8929690d9ecba0ULL},
-    {"treewidth", "mis", 6, 4437, 0x44251331878ee7c5ULL},
-    {"apex", "mst", 74, 28587, 0xa20dbd69681c2abcULL},
-    {"apex", "mincut4", 251, 113921, 0x6c74ee9b9990fef7ULL},
-    {"apex", "sssp.wavefront", 36, 11784, 0x184d331a7edadab4ULL},
-    {"apex", "sssp.stride", 38, 13393, 0x9315bf3eb1af0f89ULL},
-    {"apex", "mst.ldd", 661, 407846, 0x211ca635d52b316aULL},
-    {"apex", "mis", 6, 2447, 0xaaf6d159cbaf109eULL},
-    {"cliquesum", "mst", 195, 58008, 0x783e7baff8b77ed3ULL},
-    {"cliquesum", "mincut4", 680, 227491, 0x3a7fc79549bf9502ULL},
-    {"cliquesum", "sssp.wavefront", 92, 27824, 0x6220e7f56efc42cbULL},
-    {"cliquesum", "sssp.stride", 87, 32321, 0x8b665feb5cb26bfcULL},
-    {"cliquesum", "mst.ldd", 640, 256977, 0xda0ceed87a6a0aabULL},
-    {"cliquesum", "mis", 6, 4069, 0xbcdd6f9e694a7910ULL},
+    {"planar", "mst", 236, 47681, 0x8e07885410131f72ULL,
+     0x1805ddf9bcae40deULL},
+    {"planar", "mincut4", 837, 215093, 0x1245967583be44d3ULL,
+     0xaefe42a14956d73ULL},
+    {"planar", "sssp.wavefront", 84, 15540, 0x6cc7c6142e6b26dbULL,
+     0x4120ca4ad42c0a68ULL},
+    {"planar", "sssp.stride", 90, 21026, 0xbe08a9e86514ad8cULL,
+     0x4120ca4ad42c0a68ULL},
+    {"planar", "mst.ldd", 773, 146491, 0xb5730984a42594f4ULL,
+     0x1805ddf9bcae40deULL},
+    {"planar", "mis", 6, 2803, 0xa9750ecc7a5685c5ULL,
+     0x9f5d2de2657fa37dULL},
+    {"treewidth", "mst", 44, 29028, 0x75de8bc71fa43139ULL,
+     0x7bc0431cbe649a3aULL},
+    {"treewidth", "mincut4", 103, 84473, 0xdf893ecac864bbc6ULL,
+     0x9f2dfd952aecfacULL},
+    {"treewidth", "sssp.wavefront", 26, 14034, 0xbf344d9aac4e2962ULL,
+     0xcdd99dbe4a6b7cb5ULL},
+    {"treewidth", "sssp.stride", 26, 13596, 0x4571caa9601ebd4aULL,
+     0xcdd99dbe4a6b7cb5ULL},
+    {"treewidth", "mst.ldd", 199, 76562, 0x2a4d61e207093051ULL,
+     0x7bc0431cbe649a3aULL},
+    {"treewidth", "mis", 6, 4437, 0x44251331878ee7c5ULL,
+     0x6504c5ebb5db0d55ULL},
+    {"apex", "mst", 65, 22555, 0xb9803e4197a8c78aULL,
+     0x32eeabca92f31537ULL},
+    {"apex", "mincut4", 230, 91996, 0xc64455ed86fe46e1ULL,
+     0x667f59a01023f54aULL},
+    {"apex", "sssp.wavefront", 32, 8810, 0x4a72e722392f76abULL,
+     0xa5c3d8aa44fd47f5ULL},
+    {"apex", "sssp.stride", 36, 10377, 0x8e5bed558512df08ULL,
+     0xa5c3d8aa44fd47f5ULL},
+    {"apex", "mst.ldd", 586, 193618, 0x5e7eb1f367f2736fULL,
+     0x32eeabca92f31537ULL},
+    {"apex", "mis", 6, 2447, 0xaaf6d159cbaf109eULL,
+     0xb9e32b8f3d3a1777ULL},
+    {"cliquesum", "mst", 178, 48622, 0xc04f24d402512696ULL,
+     0x9fe5409e7e07b784ULL},
+    {"cliquesum", "mincut4", 645, 189950, 0x480da2afa3fc2d91ULL,
+     0xcc22b3e354e40549ULL},
+    {"cliquesum", "sssp.wavefront", 83, 22456, 0xc7af53bb850536bULL,
+     0xada74947c21dba81ULL},
+    {"cliquesum", "sssp.stride", 82, 25895, 0x68d6750030e0b2efULL,
+     0xada74947c21dba81ULL},
+    {"cliquesum", "mst.ldd", 567, 140521, 0x81d458fe8d0cc280ULL,
+     0x9fe5409e7e07b784ULL},
+    {"cliquesum", "mis", 6, 4069, 0xbcdd6f9e694a7910ULL,
+     0xa65c55cc3bcb9d0fULL},
 };
 
 const TrafficPin* find_pin(const std::string& family, const std::string& run) {
@@ -383,13 +450,16 @@ TEST(WireParity, AggregationTrafficPinned) {
         if (pin == nullptr) {
           ADD_FAILURE() << "no pin; measured {\"" << fam.name << "\", \""
                         << run << "\", " << r.rounds << ", " << r.messages
-                        << ", 0x" << std::hex << wire.digest() << "ULL},";
+                        << ", 0x" << std::hex << wire.digest() << "ULL, 0x"
+                        << answer_digest(r) << "ULL},";
           continue;
         }
         EXPECT_EQ(r.rounds, pin->rounds);
         EXPECT_EQ(r.messages, pin->messages);
         EXPECT_EQ(wire.digest(), pin->digest)
             << "traffic bytes diverged from the recorded digest";
+        EXPECT_EQ(answer_digest(r), pin->answer)
+            << "the answer diverged from the recorded one";
       }
     }
   }
@@ -458,7 +528,7 @@ AggregationRun run_aggregation(congest::PartwiseAggregator& agg,
 }
 
 TEST(WireParity, WideAggregationTrafficPinned) {
-  // Recorded like kTrafficPins, from the search-based kernel.
+  // Recorded like kTrafficPins.
   const AggregationCase c = wide_case();
   const std::vector<congest::AggValue> init =
       salted_values(c.g.num_vertices(), 0);
@@ -466,9 +536,10 @@ TEST(WireParity, WideAggregationTrafficPinned) {
     SCOPED_TRACE(width);
     congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
     const AggregationRun r = run_aggregation(agg, c.g, init, width);
-    EXPECT_EQ(r.rounds, 77);
-    EXPECT_EQ(r.messages, 46448);
-    EXPECT_EQ(r.digest, 0x82d3c515ba5906c0ULL);
+    EXPECT_EQ(r.rounds, 76);
+    EXPECT_EQ(r.messages, 23800);
+    EXPECT_EQ(r.digest, 0x4bf993b6c53065cdULL);
+    EXPECT_EQ(answer_digest(r.min_of_part), 0x2df40ddf37cd97c5ULL);
   }
 }
 
