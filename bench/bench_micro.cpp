@@ -1,10 +1,11 @@
 // Micro-benchmarks (google-benchmark): construction and measurement
-// throughput of the library's hot paths — generator, BFS tree, the three
-// shortcut constructors, metrics, folding, and part-wise aggregation (its
-// table construction alone, and whole aggregate_min runs, whose
-// items_per_second counts messages).
+// throughput of the library's hot paths — generator, BFS tree, the shortcut
+// constructors (with churn's two construction shapes), metrics, folding, and
+// part-wise aggregation (its table construction alone, and whole
+// aggregate_min runs, whose items_per_second counts messages).
 #include <benchmark/benchmark.h>
 
+#include "bench_instances.hpp"
 #include "congest/aggregation.hpp"
 #include "core/shortcut_engine.hpp"
 #include "gen/ktree.hpp"
@@ -53,6 +54,36 @@ void BM_GreedyShortcut(benchmark::State& state) {
     benchmark::DoNotOptimize(engine().build_shortcut(g, t, parts, cert));
 }
 BENCHMARK(BM_GreedyShortcut)->Arg(1 << 12)->Arg(1 << 15);
+
+// Churn's Borůvka shape: the side x side grid in ~side^2/4 Voronoi parts,
+// rooted where a session roots it. Most rungs of the cap ladder run here.
+void BM_GreedyShortcutManyParts(benchmark::State& state) {
+  const int side = static_cast<int>(state.range(0));
+  Graph g = gen::grid(side, side).graph();
+  RootedTree t = center_tree_factory()(g);
+  Rng rng(7);
+  Partition parts = voronoi_partition(g, side * side / 4, rng);
+  StructuralCertificate cert = greedy_certificate();
+  for (auto _ : state)
+    benchmark::DoNotOptimize(engine().build_shortcut(g, t, parts, cert));
+}
+BENCHMARK(BM_GreedyShortcutManyParts)->Arg(64);
+
+// Churn's chain: the apexed clique-sum chain of `bags` 16x16 bags through
+// the Theorem 6 pipeline (clique-sum + Lemma 9 apex oracle), in n/4
+// Voronoi parts.
+void BM_ApexChainShortcut(benchmark::State& state) {
+  Rng rng(7);
+  bench::ApexChain chain =
+      bench::apexed_chain_cliquesum(static_cast<int>(state.range(0)), rng);
+  const Graph& g = chain.graph;
+  RootedTree t = center_tree_factory()(g);
+  Partition parts = voronoi_partition(g, g.num_vertices() / 4, rng);
+  StructuralCertificate cert = bench::apex_chain_certificate(chain);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(engine().build_shortcut(g, t, parts, cert));
+}
+BENCHMARK(BM_ApexChainShortcut)->Arg(16);
 
 void BM_SteinerShortcut(benchmark::State& state) {
   Rng rng(7);

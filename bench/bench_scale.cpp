@@ -49,12 +49,14 @@ namespace {
 // shortcut-engine registry, JSON report) plus a per-vertex envelope covering
 // the instance (graph + weights), the session (tree + cached shortcuts), and
 // the dominant cost — the aggregation engine's per-phase participation
-// state, which grows superlinearly in n (measured ~x6.9 RSS per x4 vertices
-// on the planar family: 438 MiB at 2^16, 3.0 GiB at 2^18). The LINEAR
-// envelope is therefore calibrated at the binding top scale (n = 2^20,
-// ~25% headroom over the extrapolated ~21 GiB peak) and is deliberately
-// loose at smoke sizes — the verdict still catches order-of-magnitude
-// regressions there, and the n = 2^20 rows are the real subject.
+// state, which grows superlinearly in n (measured ~x7.2 RSS per x4 vertices
+// on the planar family: 317 MiB at 2^16, 2.2 GiB at 2^18, Release, 4-core
+// box). The LINEAR envelope is therefore calibrated at the binding top
+// scale (n = 2^20; set with ~25% headroom over an extrapolated ~21 GiB
+// peak, which the figures above now put near 16 GiB; it is refit from a
+// full-depth run) and is deliberately loose at smoke sizes — the verdict
+// still catches order-of-magnitude regressions there, and the n = 2^20 rows
+// are the real subject.
 constexpr long long kBudgetFixedBytes = 256LL << 20;   // 256 MiB
 constexpr long long kBudgetPerVertexBytes = 26LL << 10;  // 26 KiB / vertex
 

@@ -36,7 +36,8 @@ using TreeEdgeSet = std::vector<VertexId>;
 /// Level-synchronous capped greedy: heads climb from the terminals toward the
 /// root, merging when they meet previously acquired vertices of their own
 /// set; an edge admits at most `congestion_cap` sets, later arrivals freeze
-/// in place (becoming block roots).
+/// in place (becoming block roots). The terminal sets must be disjoint: a
+/// vertex in two sets throws InvariantViolation naming it (DESIGN.md §9).
 [[nodiscard]] std::vector<TreeEdgeSet> capped_greedy(
     const RootedTree& tree,
     const std::vector<std::vector<VertexId>>& terminal_sets,
@@ -44,7 +45,8 @@ using TreeEdgeSet = std::vector<VertexId>;
 
 /// Runs capped_greedy over a geometric ladder of caps and keeps the result
 /// with the best quality b * diam(T) + c (the [HIZ16a]-style tuning loop a
-/// distributed implementation performs by doubling).
+/// distributed implementation performs by doubling). It stops at the first
+/// rung that refused no climb: every larger cap would replay it exactly.
 struct TunedGreedyResult {
   std::vector<TreeEdgeSet> sets;
   int chosen_cap = 0;

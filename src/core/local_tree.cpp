@@ -1,7 +1,6 @@
 #include "core/local_tree.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace mns {
@@ -29,68 +28,69 @@ LocalTree steiner_minor(const RootedTree& T,
             [&](VertexId a, VertexId b) { return tin[a] < tin[b]; });
   cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
 
+  // Flat per-candidate arrays, indexed by a candidate's position in `cand`
+  // (its tin rank among the candidates).
+  const int k = static_cast<int>(cand.size());
+
   // Stack-based virtual tree: candidates in tin order; an element's virtual
   // parent is the nearest open ancestor.
-  std::map<VertexId, std::vector<VertexId>> vchildren;
-  std::map<VertexId, VertexId> vparent;
-  std::vector<VertexId> stack;
-  for (VertexId v : cand) {
-    while (!stack.empty() && !T.is_ancestor(stack.back(), v)) stack.pop_back();
-    if (!stack.empty()) {
-      vparent[v] = stack.back();
-      vchildren[stack.back()].push_back(v);
-    }
-    stack.push_back(v);
+  std::vector<int> vparent(k, -1);
+  std::vector<int> stack;
+  for (int i = 0; i < k; ++i) {
+    while (!stack.empty() && !T.is_ancestor(cand[stack.back()], cand[i]))
+      stack.pop_back();
+    if (!stack.empty()) vparent[i] = stack.back();
+    stack.push_back(i);
   }
+  // Virtual children as sibling lists in tin order (prepending in reverse).
+  std::vector<int> first_child(k, -1), next_sibling(k, -1);
+  for (int i = k - 1; i >= 0; --i)
+    if (vparent[i] >= 0) {
+      next_sibling[i] = first_child[vparent[i]];
+      first_child[vparent[i]] = i;
+    }
 
-  // Contract non-terminal candidates bottom-up (reverse tin order is a valid
-  // bottom-up order for the virtual tree).
-  std::vector<char> is_term(T.num_vertices(), 0);
-  for (VertexId t : terms) is_term[t] = 1;
-
-  LocalTree out{RootedTree(0, {kInvalidVertex}), {}, {}};
-  out.to_global = terms;
-  std::map<VertexId, VertexId> local_of;
-  for (std::size_t i = 0; i < terms.size(); ++i)
-    local_of[terms[i]] = static_cast<VertexId>(i);
+  // local[i]: local index of cand[i] if it is a terminal, else
+  // kInvalidVertex (terms and cand are both in tin order).
+  std::vector<VertexId> local(k, kInvalidVertex);
+  for (int i = 0, j = 0; i < k; ++i)
+    if (j < static_cast<int>(terms.size()) && cand[i] == terms[j])
+      local[i] = j++;
 
   std::vector<VertexId> parent_local(terms.size(), kInvalidVertex);
   std::vector<EdgeId> real_edge(terms.size(), kInvalidEdge);
-  std::map<VertexId, VertexId> rep;  // candidate -> terminal representative
+  // rep[i]: local index of candidate i's terminal representative.
+  std::vector<VertexId> rep(k, kInvalidVertex);
 
-  auto attach = [&](VertexId child_term, VertexId parent_term,
-                    bool straight_up) {
-    VertexId cl = local_of.at(child_term);
+  auto attach = [&](VertexId cl, VertexId pl, bool straight_up) {
     require(parent_local[cl] == kInvalidVertex, "steiner_minor: reattach");
-    parent_local[cl] = local_of.at(parent_term);
-    if (straight_up && T.parent(child_term) == parent_term)
-      real_edge[cl] = T.parent_edge(child_term);
+    parent_local[cl] = pl;
+    if (straight_up && T.parent(terms[cl]) == terms[pl])
+      real_edge[cl] = T.parent_edge(terms[cl]);
   };
 
-  for (auto it = cand.rbegin(); it != cand.rend(); ++it) {
-    VertexId v = *it;
-    std::vector<VertexId> child_reps;
-    auto ch = vchildren.find(v);
-    if (ch != vchildren.end())
-      for (VertexId c : ch->second)
-        if (rep.count(c)) child_reps.push_back(rep[c]);
-    if (is_term[v]) {
-      for (VertexId r : child_reps) attach(r, v, /*straight_up=*/true);
-      rep[v] = v;
+  // Contract non-terminal candidates bottom-up (reverse tin order is a valid
+  // bottom-up order for the virtual tree).
+  std::vector<VertexId> child_reps;
+  for (int i = k - 1; i >= 0; --i) {
+    child_reps.clear();
+    for (int c = first_child[i]; c >= 0; c = next_sibling[c])
+      if (rep[c] != kInvalidVertex) child_reps.push_back(rep[c]);
+    if (local[i] != kInvalidVertex) {
+      for (VertexId r : child_reps) attach(r, local[i], /*straight_up=*/true);
+      rep[i] = local[i];
     } else if (!child_reps.empty()) {
-      rep[v] = child_reps[0];
-      for (std::size_t i = 1; i < child_reps.size(); ++i)
-        attach(child_reps[i], child_reps[0], /*straight_up=*/false);
+      rep[i] = child_reps[0];
+      for (std::size_t r = 1; r < child_reps.size(); ++r)
+        attach(child_reps[r], child_reps[0], /*straight_up=*/false);
     }
   }
 
-  // Root of the local tree: rep of the top candidate.
-  VertexId top = cand.front();  // smallest tin = ancestor of all candidates
-  require(rep.count(top) > 0, "steiner_minor: no representative at top");
-  VertexId root_local = local_of.at(rep.at(top));
-  out.tree = RootedTree(root_local, std::move(parent_local));
-  out.real_parent_edge = std::move(real_edge);
-  return out;
+  // Root of the local tree: rep of the top candidate (smallest tin, an
+  // ancestor of all candidates).
+  require(rep[0] != kInvalidVertex, "steiner_minor: no representative at top");
+  return {RootedTree(rep[0], std::move(parent_local)), std::move(terms),
+          std::move(real_edge)};
 }
 
 }  // namespace mns

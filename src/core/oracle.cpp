@@ -1,7 +1,6 @@
 #include "core/oracle.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "structure/cells.hpp"
 
@@ -78,12 +77,13 @@ BagOracle make_apex_oracle(BagOracle inner) {
     std::vector<std::vector<CellId>> intersects(S);
     for (std::size_t s = 0; s < S; ++s) {
       if (has_apex[s]) continue;
-      std::set<CellId> touched;
+      std::vector<CellId>& touched = intersects[s];
       for (VertexId t : inst.terminal_sets[s]) {
         CellId c = tc.partition.cell_of(t);
-        if (c != kInvalidCell) touched.insert(c);
+        if (c != kInvalidCell) touched.push_back(c);
       }
-      intersects[s].assign(touched.begin(), touched.end());
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     }
     CellAssignment assign =
         assign_cells(intersects, tc.partition.num_cells());
@@ -107,14 +107,25 @@ BagOracle make_apex_oracle(BagOracle inner) {
     for (std::size_t s = 0; s < S; ++s)
       for (CellId c : assign.missing_cells_of_part[s]) requests[c].push_back(s);
 
+    std::vector<VertexId> outer_to_cell(tree.num_vertices(), kInvalidVertex);
     for (CellId c = 0; c < tc.partition.num_cells(); ++c) {
-      if (requests[c].empty()) continue;
+      // Each request's terminals here. A cell where every request has at
+      // most one is skipped: the inner oracle gives those no edge (oracle.hpp).
+      std::vector<std::vector<VertexId>> terms(requests[c].size());
+      bool connects = false;
+      for (std::size_t i = 0; i < terms.size(); ++i) {
+        for (VertexId t : inst.terminal_sets[requests[c][i]])
+          if (tc.partition.cell_of(t) == c) terms[i].push_back(t);
+        connects = connects || terms[i].size() > 1;
+      }
+      if (!connects) continue;
       auto cell_members = tc.partition.members(c);
       // Cell-local indexing.
       std::vector<VertexId> to_outer(cell_members.begin(), cell_members.end());
-      std::vector<VertexId> outer_to_cell(tree.num_vertices(), kInvalidVertex);
       for (VertexId i = 0; i < static_cast<VertexId>(to_outer.size()); ++i)
         outer_to_cell[to_outer[i]] = i;
+      for (auto& ts : terms)
+        for (VertexId& t : ts) t = outer_to_cell[t];
       std::vector<VertexId> cparent(to_outer.size(), kInvalidVertex);
       for (VertexId i = 0; i < static_cast<VertexId>(to_outer.size()); ++i) {
         VertexId v = to_outer[i];
@@ -123,19 +134,12 @@ BagOracle make_apex_oracle(BagOracle inner) {
       }
       LocalInstance sub{
           RootedTree(outer_to_cell[tc.cell_root[c]], std::move(cparent)),
-          {},
+          std::move(terms),
           {}};
-      for (std::size_t s : requests[c]) {
-        std::vector<VertexId> terms;
-        for (VertexId t : inst.terminal_sets[s])
-          if (outer_to_cell[t] != kInvalidVertex &&
-              tc.partition.cell_of(t) == c)
-            terms.push_back(outer_to_cell[t]);
-        sub.terminal_sets.push_back(std::move(terms));
-      }
       std::vector<TreeEdgeSet> local = inner(sub);
       for (std::size_t i = 0; i < requests[c].size(); ++i)
         for (VertexId cv : local[i]) out[requests[c][i]].push_back(to_outer[cv]);
+      for (VertexId v : to_outer) outer_to_cell[v] = kInvalidVertex;
     }
 
     // De-duplicate (global + local can overlap in principle).

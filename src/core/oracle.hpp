@@ -19,10 +19,13 @@ namespace mns {
 
 struct LocalInstance {
   RootedTree tree;
-  std::vector<std::vector<VertexId>> terminal_sets;  ///< instance-local ids
+  std::vector<std::vector<VertexId>> terminal_sets;  ///< local ids, disjoint
   std::vector<VertexId> apices;                      ///< instance-local ids
 };
 
+/// One edge set per terminal set. Every make_oracle kind gives a set with at
+/// most one terminal no edge; make_apex_oracle skips cells on that rule for
+/// its inner oracle (itself, it gives a set holding an apex the whole tree).
 using BagOracle =
     std::function<std::vector<TreeEdgeSet>(const LocalInstance&)>;
 

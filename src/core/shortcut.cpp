@@ -21,8 +21,10 @@ std::string validate_tree_restricted(const Graph& g, const RootedTree& tree,
   for (VertexId v = 0; v < tree.num_vertices(); ++v)
     if (v != tree.root() && tree.parent_edge(v) != kInvalidEdge)
       is_tree_edge[tree.parent_edge(v)] = 1;
+  // The last part that listed each edge: one edge in two parts is congestion.
+  std::vector<std::size_t> listed_by(g.num_edges(),
+                                     shortcut.edges_of_part.size());
   for (std::size_t p = 0; p < shortcut.edges_of_part.size(); ++p) {
-    std::set<EdgeId> seen;
     for (EdgeId e : shortcut.edges_of_part[p]) {
       if (e < 0 || e >= g.num_edges()) {
         std::ostringstream os;
@@ -34,11 +36,12 @@ std::string validate_tree_restricted(const Graph& g, const RootedTree& tree,
         os << "part " << p << " uses non-tree edge " << e;
         return os.str();
       }
-      if (!seen.insert(e).second) {
+      if (listed_by[e] == p) {
         std::ostringstream os;
         os << "part " << p << " lists edge " << e << " twice";
         return os.str();
       }
+      listed_by[e] = p;
     }
   }
   return {};

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "core/construct_tree.hpp"
 #include "core/shortcut_engine.hpp"
@@ -150,6 +151,37 @@ TEST(Metrics, ValidateTreeRestriction) {
   EXPECT_NE(validate_tree_restricted(g, t, dup), "");
 }
 
+TEST(Metrics, ValidationMessagesAreExact) {
+  Graph g = gen::cycle(6);
+  RootedTree t = bfs_tree(g, 0);
+  std::set<EdgeId> tree_edges;
+  for (VertexId v = 1; v < 6; ++v) tree_edges.insert(t.parent_edge(v));
+  EdgeId non_tree = kInvalidEdge;
+  for (EdgeId e = 0; e < g.num_edges(); ++e)
+    if (!tree_edges.count(e)) non_tree = e;
+  ASSERT_NE(non_tree, kInvalidEdge);
+  const EdgeId e = *tree_edges.begin();
+  const std::string es = std::to_string(e);
+  auto check = [&](std::vector<std::vector<EdgeId>> edges) {
+    Shortcut sc;
+    sc.edges_of_part = std::move(edges);
+    return validate_tree_restricted(g, t, sc);
+  };
+  EXPECT_EQ(check({{e}, {-1}}), "part 1 has out-of-range edge id");
+  EXPECT_EQ(check({{g.num_edges()}}), "part 0 has out-of-range edge id");
+  EXPECT_EQ(check({{}, {e, non_tree}}),
+            "part 1 uses non-tree edge " + std::to_string(non_tree));
+  EXPECT_EQ(check({{e, e}}), "part 0 lists edge " + es + " twice");
+  // The first failing entry decides, and each entry is checked for range,
+  // then tree membership, then repetition.
+  EXPECT_EQ(check({{e, e, -1}}), "part 0 lists edge " + es + " twice");
+  EXPECT_EQ(check({{non_tree, non_tree}}),
+            "part 0 uses non-tree edge " + std::to_string(non_tree));
+  // One edge in two different parts is congestion, not an error.
+  EXPECT_EQ(check({{e}, {e}}), "");
+  EXPECT_EQ(check({{e}, {e}, {e, e}}), "part 2 lists edge " + es + " twice");
+}
+
 TEST(SteinerShortcut, SingleBlockPerPart) {
   Rng rng(5);
   Graph g = gen::grid(8, 8).graph();
@@ -210,6 +242,45 @@ TEST(CappedGreedy, RespectsCongestionCap) {
       for (VertexId v : es) ++load[v];
     for (VertexId v = 0; v < t.num_vertices(); ++v)
       EXPECT_LE(load[v], cap) << "cap " << cap;
+  }
+}
+
+TEST(CappedGreedy, RejectsAVertexInTwoTerminalSets) {
+  Graph g = gen::path(8);
+  RootedTree t = bfs_tree(g, 0);
+  const std::vector<std::vector<VertexId>> overlap{{1, 3}, {6, 3, 7}};
+  auto names_vertex_3 = [](const auto& build) {
+    try {
+      build();
+    } catch (const InvariantViolation& e) {
+      return std::string(e.what()).find("vertex 3 ") != std::string::npos;
+    }
+    return false;
+  };
+  EXPECT_TRUE(names_vertex_3([&] { (void)capped_greedy(t, overlap, 2); }));
+  EXPECT_TRUE(names_vertex_3([&] { (void)tuned_greedy(t, overlap); }));
+  // A vertex listed twice in one set is no overlap.
+  EXPECT_EQ(capped_greedy(t, {{1, 3, 1}, {6}}, 1),
+            capped_greedy(t, {{1, 3}, {6}}, 1));
+}
+
+TEST(UniformConstructions, OverlappingSetsKeepTheirOwnResults) {
+  // steiner_subtrees and ancestor_climb treat each set on its own: a set that
+  // overlaps others gets exactly what it gets alone.
+  Graph g = gen::grid(8, 8).graph();
+  RootedTree t = bfs_tree(g, 0);
+  const std::vector<std::vector<VertexId>> sets{
+      {9, 27, 45}, {27, 45, 63, 12}, {45, 0, 7}, {63, 62}};
+  const auto steiner = steiner_subtrees(t, sets);
+  for (std::size_t s = 0; s < sets.size(); ++s) {
+    EXPECT_EQ(steiner[s], steiner_subtrees(t, {sets[s]})[0]) << "set " << s;
+    EXPECT_FALSE(steiner[s].empty()) << "set " << s;
+  }
+  for (int levels : {-1, 1, 3}) {
+    const auto climb = ancestor_climb(t, sets, levels);
+    for (std::size_t s = 0; s < sets.size(); ++s)
+      EXPECT_EQ(climb[s], ancestor_climb(t, {sets[s]}, levels)[0])
+          << "set " << s << ", " << levels << " levels";
   }
 }
 
