@@ -1,6 +1,7 @@
-// E18 (the memory thesis, DESIGN.md §9): the packed-wire + arena round
-// engine runs planar and clique-sum instances at n = 2^20 through the full
-// Session pipeline (mst, then sssp.approx) inside a stated peak-RSS budget.
+// E18 (the memory thesis, DESIGN.md §9): the packed-wire round engine, its
+// buffers reused across rounds, runs planar and clique-sum instances at
+// n = 2^20 through the full Session pipeline (mst, then sssp.approx) inside
+// a stated peak-RSS budget.
 //
 // Two instances, one per streamed generator path:
 //

@@ -11,19 +11,21 @@ namespace {
 /// Flooding BFS as a VertexProgram: frontier nodes offer their distance on
 /// every edge toward unsettled neighbours; an unsettled node adopts the
 /// first delivery as its parent. All receive-side writes are v-local; the
-/// next frontier is assembled from per-shard lists at the barrier.
+/// next frontier is the nodes settled this round.
 struct BfsProgram {
   const Graph& g;
   DistributedBfsResult& r;
-  std::vector<VertexId> active;
-  PerShard<std::vector<VertexId>> next;
+  FrontierTracker tracker;
 
   BfsProgram(Simulator& sim, DistributedBfsResult& result, VertexId root)
-      : g(sim.graph()), r(result), next(sim.num_shards()) {
-    active.push_back(root);
+      : g(sim.graph()), r(result),
+        tracker(sim.num_shards(), sim.graph().num_vertices()) {
+    tracker.seed(root);
   }
 
-  [[nodiscard]] std::span<const VertexId> frontier() const { return active; }
+  [[nodiscard]] std::span<const VertexId> frontier() const {
+    return tracker.frontier();
+  }
 
   void send(VertexId v, VertexSender& out) {
     auto eids = g.incident_edges(v);
@@ -43,16 +45,10 @@ struct BfsProgram {
     r.dist[v] = static_cast<int>(d.msg.value) + 1;
     r.parent[v] = d.from;
     r.parent_edge[v] = d.edge;
-    next[ctx.shard].push_back(v);
+    tracker.wake_from_receive(v, ctx.shard);
   }
 
-  void end_round() {
-    active.clear();
-    next.for_each([&](std::vector<VertexId>& part) {
-      active.insert(active.end(), part.begin(), part.end());
-      part.clear();
-    });
-  }
+  void end_round() { tracker.end_round(); }
 };
 
 }  // namespace

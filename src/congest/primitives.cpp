@@ -15,20 +15,21 @@ struct BroadcastProgram {
   const RootedTree& tree;
   BroadcastResult& out;
   std::vector<char> has;
-  std::vector<VertexId> active;
-  PerShard<std::vector<VertexId>> next;
+  FrontierTracker tracker;
 
   BroadcastProgram(Simulator& sim, const RootedTree& t, BroadcastResult& o)
       : tree(t), out(o), has(static_cast<std::size_t>(t.num_vertices()), 0),
-        next(sim.num_shards()) {
+        tracker(sim.num_shards(), t.num_vertices()) {
     has[tree.root()] = 1;
     // Only nodes with children enter the frontier: a leaf-only frontier
     // would buy a message-free round the old send()==false check never
     // counted.
-    if (!tree.children(tree.root()).empty()) active.push_back(tree.root());
+    if (!tree.children(tree.root()).empty()) tracker.seed(tree.root());
   }
 
-  [[nodiscard]] std::span<const VertexId> frontier() const { return active; }
+  [[nodiscard]] std::span<const VertexId> frontier() const {
+    return tracker.frontier();
+  }
 
   void send(VertexId v, VertexSender& sender) {
     for (VertexId c : tree.children(v))
@@ -40,16 +41,10 @@ struct BroadcastProgram {
     if (has[c]) return;
     has[c] = 1;
     out.received[c] = inbox.front().msg.value;
-    if (!tree.children(c).empty()) next[ctx.shard].push_back(c);
+    if (!tree.children(c).empty()) tracker.wake_from_receive(c, ctx.shard);
   }
 
-  void end_round() {
-    active.clear();
-    next.for_each([&](std::vector<VertexId>& part) {
-      active.insert(active.end(), part.begin(), part.end());
-      part.clear();
-    });
-  }
+  void end_round() { tracker.end_round(); }
 };
 
 /// Leaves-to-root min: a node reports to its parent once every child
@@ -63,22 +58,23 @@ struct ConvergecastProgram {
   std::vector<int> waiting;
   std::vector<std::int64_t> best;
   std::vector<char> sent;
-  std::vector<VertexId> ready;
-  PerShard<std::vector<VertexId>> next_ready;
+  FrontierTracker tracker;
 
   ConvergecastProgram(Simulator& sim, const RootedTree& t,
                       const std::vector<std::int64_t>& values)
       : tree(t), waiting(static_cast<std::size_t>(t.num_vertices()), 0),
         best(values), sent(static_cast<std::size_t>(t.num_vertices()), 0),
-        next_ready(sim.num_shards()) {
+        tracker(sim.num_shards(), t.num_vertices()) {
     const VertexId n = t.num_vertices();
     for (VertexId v = 0; v < n; ++v)
       waiting[v] = static_cast<int>(t.children(v).size());
     for (VertexId v = 0; v < n; ++v)
-      if (v != t.root() && waiting[v] == 0) ready.push_back(v);
+      if (v != t.root() && waiting[v] == 0) tracker.seed(v);
   }
 
-  [[nodiscard]] std::span<const VertexId> frontier() const { return ready; }
+  [[nodiscard]] std::span<const VertexId> frontier() const {
+    return tracker.frontier();
+  }
 
   void send(VertexId v, VertexSender& sender) {
     sender.send(tree.parent_edge(v), Message{0, 0, best[v]});
@@ -95,16 +91,10 @@ struct ConvergecastProgram {
       --waiting[v];
     }
     if (v != tree.root() && !sent[v] && waiting[v] == 0)
-      next_ready[ctx.shard].push_back(v);
+      tracker.wake_from_receive(v, ctx.shard);
   }
 
-  void end_round() {
-    ready.clear();
-    next_ready.for_each([&](std::vector<VertexId>& part) {
-      ready.insert(ready.end(), part.begin(), part.end());
-      part.clear();
-    });
-  }
+  void end_round() { tracker.end_round(); }
 };
 
 /// Min-id flooding on the raw graph: every node re-broadcasts its current

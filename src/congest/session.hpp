@@ -26,8 +26,8 @@
 //                                  certificate, rooted tree, shortcut cache
 //                                  behind a read-mostly concurrency discipline
 //   SolveHandle (solve_handle.hpp) the cheap per-request half: Simulator,
-//                                  arenas, execution policy, per-request
-//                                  cache accounting, by-name dispatch
+//                                  execution policy, per-request cache
+//                                  accounting, by-name dispatch
 //
 // One Session = one core + one default handle, single-threaded semantics
 // preserved exactly. Every solve, typed or by name, forwards to that handle,

@@ -21,15 +21,7 @@ std::string endpoint_violation(const char* fn, VertexId from, EdgeId edge,
 
 }  // namespace
 
-Simulator::Simulator(const Graph& g, ExecutionPolicy policy)
-    : g_(&g),
-      pending_to_(ArenaAllocator<VertexId>(&arena_)),
-      pending_slot_(ArenaAllocator<std::uint32_t>(&arena_)),
-      pending_msg_(ArenaAllocator<Message>(&arena_)),
-      inbox_slot_(ArenaAllocator<std::uint32_t>(&arena_)),
-      inbox_msg_(ArenaAllocator<Message>(&arena_)),
-      batch_to_(ArenaAllocator<VertexId>(&arena_)),
-      frontier_(ArenaAllocator<VertexId>(&arena_)) {
+Simulator::Simulator(const Graph& g, ExecutionPolicy policy) : g_(&g) {
   used_.assign(static_cast<std::size_t>(g.num_edges()) * 2, 0);
   inbox_begin_.assign(g.num_vertices(), 0);
   inbox_count_.assign(g.num_vertices(), 0);
@@ -51,8 +43,7 @@ void Simulator::set_execution_policy(ExecutionPolicy policy) {
   const int resolved = policy_.resolved();
   if (resolved != num_shards_) {
     num_shards_ = resolved;
-    // SendShards own arenas (non-movable), so the block is rebuilt whole;
-    // the old shards were verified empty above.
+    // The old shards were verified empty above.
     shards_ = std::make_unique<SendShard[]>(static_cast<std::size_t>(resolved));
     pool_.reset();  // rebuilt lazily at the new width
   }
@@ -76,17 +67,6 @@ WorkerPool& Simulator::pool() {
   return *pool_;
 }
 
-Arena::Stats Simulator::arena_stats() const {
-  Arena::Stats total = arena_.stats();
-  for (int s = 0; s < num_shards_; ++s) {
-    const Arena::Stats& st = shards_[static_cast<std::size_t>(s)].arena.stats();
-    total.block_requests += st.block_requests;
-    total.slabs += st.slabs;
-    total.bytes_reserved += st.bytes_reserved;
-  }
-  return total;
-}
-
 void Simulator::throw_endpoint_violation(VertexId from, EdgeId edge) const {
   throw std::invalid_argument(
       endpoint_violation("Simulator::send", from, edge, g_->edge(edge)));
@@ -101,7 +81,7 @@ void Simulator::throw_capacity_violation() {
 void Simulator::stage_send(int shard, VertexId from, EdgeId edge,
                            const Message& msg) {
   // Validation strictly precedes the buffer write: a throwing call leaves
-  // the shard's arena cursor untouched (DESIGN.md §9).
+  // the shard's buffer untouched (DESIGN.md §9).
   if (shard < 0 || shard >= num_shards_)
     throw std::out_of_range("Simulator::stage_send: shard out of range");
   const Edge& e = g_->edge(edge);
@@ -213,8 +193,8 @@ void Simulator::finish_round() {
 RoundBatch Simulator::finish_round_batch() {
   close_round();
   // The batch becomes the delivered storage as is; the swapped-out buffers
-  // keep their capacity for the next round's sends (all on arena_, so the
-  // swaps are pointer swaps).
+  // keep their capacity for the next round's sends (vector swaps are
+  // pointer swaps).
   batch_to_.swap(pending_to_);
   inbox_slot_.swap(pending_slot_);
   inbox_msg_.swap(pending_msg_);

@@ -6,10 +6,10 @@
 // simulator counts rounds and messages — rounds are the quantity every
 // theorem in the paper bounds.
 //
-// The round-turnover path is allocation-free in steady state: all buffers
-// live in a bump arena (arena.hpp; lifetime and budget rules in DESIGN.md §9
-// "Memory model") and are reused across rounds, inboxes are built CSR-style
-// by per-destination counting (no sorting), and finish_round() touches only
+// The round-turnover path is allocation-free in steady state: every buffer
+// is a std::vector reused across rounds, so clear() and resize() keep its
+// capacity (DESIGN.md §9 "Round buffers"), inboxes are built CSR-style by
+// per-destination counting (no sorting), and finish_round() touches only
 // the nodes that actually received or sent messages (the active frontier) —
 // O(messages per round), NOT O(n). Algorithms with long sparse tails (BFS,
 // convergecast, pipelined upcasts) simulate millions of rounds without
@@ -53,7 +53,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "congest/arena.hpp"
 #include "congest/execution.hpp"
 #include "graph/graph.hpp"
 
@@ -165,8 +164,8 @@ struct RoundBatch {
 class Simulator {
  public:
   explicit Simulator(const Graph& g, ExecutionPolicy policy = {});
-  // The arena-backed buffers hold pointers into arena_; the simulator is
-  // pinned in place (nothing in the codebase moves one).
+  // Inbox views and round batches point into the simulator's buffers; the
+  // simulator is pinned in place (nothing in the codebase moves one).
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -215,7 +214,7 @@ class Simulator {
   /// capacity rule (slot 2e+side belongs to one endpoint) keeps shards
   /// disjoint. Capacity violations still throw, deterministically, from
   /// finish_round(). Validation precedes any buffer write, so a throwing
-  /// call never advances an arena cursor (pinned by the contract tests).
+  /// call leaves every buffer as it was (pinned by the allocation tests).
   void stage_send(int shard, VertexId from, EdgeId edge, const Message& msg);
 
   /// Ends the round: delivers queued messages into inboxes. Cost is linear in
@@ -267,16 +266,11 @@ class Simulator {
 
   /// Advances the round counter by `rounds` without communication (used to
   /// account for idle/waiting rounds in lock-step algorithms). Throws on
-  /// negative counts without touching any state (or arena cursor).
+  /// negative counts without touching any state.
   void skip_rounds(long long rounds);
 
   [[nodiscard]] long long rounds() const noexcept { return rounds_; }
   [[nodiscard]] long long messages_sent() const noexcept { return messages_; }
-
-  /// Combined allocation counters of the merge arena and every staging
-  /// shard's private arena — the zero-steady-state-allocation test hook
-  /// (DESIGN.md §9): block_requests must be flat across warmed-up rounds.
-  [[nodiscard]] Arena::Stats arena_stats() const;
 
  private:
   /// One staged send: precomputed directed slot + destination so the merge
@@ -287,12 +281,11 @@ class Simulator {
     VertexId to;
     Message msg;
   };
-  /// Per-shard private staging buffer with its own arena (worker threads
-  /// touch disjoint shards; see arena.hpp's threading contract). alignas
-  /// keeps two shards' hot state off one cache line (wall-clock only).
+  /// Per-shard private staging buffer (worker threads touch disjoint
+  /// shards). alignas keeps two shards' hot state off one cache line
+  /// (wall-clock only).
   struct alignas(64) SendShard {
-    Arena arena;
-    ArenaVector<StagedSend> entries{ArenaAllocator<StagedSend>(&arena)};
+    std::vector<StagedSend> entries;
   };
 
   /// The round end both forms share: staged-capacity check, merge into the
@@ -307,14 +300,13 @@ class Simulator {
   int num_shards_ = 0;  ///< 0 until the constructor applies the policy
   std::unique_ptr<SendShard[]> shards_;
   std::unique_ptr<WorkerPool> pool_;
-  /// Merge arena: backs every per-round buffer below. Touched only by the
-  /// thread driving send()/finish_round(), never by staging workers.
-  Arena arena_;
+  // Every buffer below is touched only by the thread driving
+  // send()/finish_round(), never by staging workers.
   // Pending sends for the current round, in send order (SoA: destination,
   // packed directed slot, payload).
-  ArenaVector<VertexId> pending_to_;
-  ArenaVector<std::uint32_t> pending_slot_;
-  ArenaVector<Message> pending_msg_;
+  std::vector<VertexId> pending_to_;
+  std::vector<std::uint32_t> pending_slot_;
+  std::vector<Message> pending_msg_;
   // Directed edge used this round (2e + side); reset from pending_slot_,
   // which lists exactly the slots marked.
   std::vector<char> used_;
@@ -326,11 +318,11 @@ class Simulator {
   std::vector<std::uint32_t> inbox_begin_;
   std::vector<std::uint32_t> inbox_count_;
   std::vector<std::uint32_t> inbox_cursor_;
-  ArenaVector<std::uint32_t> inbox_slot_;
-  ArenaVector<Message> inbox_msg_;
-  ArenaVector<VertexId> batch_to_;
+  std::vector<std::uint32_t> inbox_slot_;
+  std::vector<Message> inbox_msg_;
+  std::vector<VertexId> batch_to_;
   // Nodes with a nonempty inbox from the round that just finished.
-  ArenaVector<VertexId> frontier_;
+  std::vector<VertexId> frontier_;
   transport::Transport* transport_ = nullptr;  ///< non-owning round hook
   long long rounds_ = 0;
   long long messages_ = 0;

@@ -2,8 +2,8 @@
 // (DESIGN.md §10 "Serving architecture").
 //
 // A SolveHandle owns everything one in-flight request needs and nothing it
-// must share: the Simulator (round engine + arenas + staging shards), the
-// execution policy and the per-request cache-hit/miss accounting. All
+// must share: the Simulator (round engine, round buffers, staging shards),
+// the execution policy and the per-request cache-hit/miss accounting. All
 // expensive read-only state — graph, certificate, rooted tree, shortcut
 // cache — lives in the SolverCore the handle points at (solver_core.hpp),
 // so handles are cheap to create per request and any number of them can

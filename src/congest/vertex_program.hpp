@@ -42,7 +42,6 @@
 #include <span>
 #include <vector>
 
-#include "congest/arena.hpp"
 #include "congest/simulator.hpp"
 
 namespace mns::congest {
@@ -125,12 +124,13 @@ class PerShard {
 };
 
 /// The dual-phase frontier bookkeeping shared by stateful programs
-/// (aggregation, GHS upcast/downcast, capped-greedy): a vertex re-enters
-/// the next round's frontier either from the send phase (it kept pending
-/// work), from the receive phase (a delivery woke it), or at the barrier
-/// (a cross-vertex effect). The queued_ flags dedup across all three paths
-/// — safe because send(v)/receive(v) only ever flag v itself, and barrier
-/// wakes run sequentially. Merge order is send-keeps then receive-wakes
+/// (aggregation, GHS upcast/downcast, capped-greedy, BFS, broadcast,
+/// convergecast): a vertex re-enters the next round's frontier either from
+/// the send phase (it kept pending work), from the receive phase (a
+/// delivery woke it), or at the barrier (a cross-vertex effect). The
+/// queued_ flags dedup across all three paths — safe because
+/// send(v)/receive(v) only ever flag v itself, and barrier wakes run
+/// sequentially. Merge order is send-keeps then receive-wakes
 /// then barrier wakes, each in shard order == frontier order, so the
 /// rebuilt frontier is deterministic at any thread count.
 class FrontierTracker {
@@ -142,17 +142,15 @@ class FrontierTracker {
   [[nodiscard]] std::span<const VertexId> frontier() const {
     return frontier_list_;
   }
-  [[nodiscard]] int num_shards() const noexcept {
-    return send_keep_.num_shards();
-  }
+  [[nodiscard]] int num_shards() const noexcept { return send_keep_.size(); }
   /// Forgets every list and flag — also those a run that threw left behind
   /// — keeping all capacity, so a tracker reused across runs stops
   /// allocating once warm.
   void clear() {
     std::fill(queued_.begin(), queued_.end(), char{0});
     frontier_list_.clear();
-    send_keep_.for_each([](ArenaVector<VertexId>& l) { l.clear(); });
-    recv_wake_.for_each([](ArenaVector<VertexId>& l) { l.clear(); });
+    send_keep_.for_each([](std::vector<VertexId>& l) { l.clear(); });
+    recv_wake_.for_each([](std::vector<VertexId>& l) { l.clear(); });
   }
   /// Init-time push, before the first round (no dedup — seed each vertex
   /// once).
@@ -171,11 +169,11 @@ class FrontierTracker {
   /// wake_at_barrier), then clear_flags(); everyone else calls end_round().
   void merge_phases() {
     frontier_list_.clear();
-    send_keep_.for_each([&](ArenaVector<VertexId>& part) {
+    send_keep_.for_each([&](std::vector<VertexId>& part) {
       frontier_list_.insert(frontier_list_.end(), part.begin(), part.end());
       part.clear();
     });
-    recv_wake_.for_each([&](ArenaVector<VertexId>& part) {
+    recv_wake_.for_each([&](std::vector<VertexId>& part) {
       frontier_list_.insert(frontier_list_.end(), part.begin(), part.end());
       part.clear();
     });
@@ -190,8 +188,7 @@ class FrontierTracker {
   }
 
  private:
-  template <typename List>
-  void enqueue(VertexId v, List& out) {
+  void enqueue(VertexId v, std::vector<VertexId>& out) {
     if (!queued_[static_cast<std::size_t>(v)]) {
       queued_[static_cast<std::size_t>(v)] = 1;
       out.push_back(v);
@@ -200,11 +197,10 @@ class FrontierTracker {
 
   std::vector<char> queued_;
   std::vector<VertexId> frontier_list_;
-  // Per-shard wake lists on private arenas (arena.hpp): each worker appends
-  // to its own slot, and once warm the lists stop allocating — part of the
-  // zero-steady-state-allocation contract (DESIGN.md §9).
-  PerShardArenaVec<VertexId> send_keep_;
-  PerShardArenaVec<VertexId> recv_wake_;
+  // Per-shard wake lists: each worker appends to its own slot, and once
+  // warm the lists stop allocating (DESIGN.md §9 "Round buffers").
+  PerShard<std::vector<VertexId>> send_keep_;
+  PerShard<std::vector<VertexId>> recv_wake_;
 };
 
 namespace detail {

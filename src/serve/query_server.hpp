@@ -7,7 +7,7 @@
 // any number of requests then answer cheaply against it. The server maps a
 // restored snapshot (or a live core) into that shared state and fans
 // batches of requests across a congest::WorkerPool, where every worker
-// drives its OWN congest::SolveHandle — so simulators, arenas, and
+// drives its OWN congest::SolveHandle — so simulators, round buffers, and
 // per-request telemetry never share, and the only contended object is the
 // core's read-mostly shortcut cache.
 //
@@ -130,7 +130,7 @@ class QueryServer {
   std::shared_ptr<const congest::SolverCore> core_;
   ServerConfig config_;
   /// One handle per worker, created up front: worker w always solves on
-  /// handles_[w], so arenas stay warm across batches.
+  /// handles_[w], so its round buffers stay warm across batches.
   std::vector<std::unique_ptr<congest::SolveHandle>> handles_;
   congest::WorkerPool pool_;
   std::atomic<long long> requests_served_{0};

@@ -125,21 +125,19 @@ CellAssignment assign_cells(const std::vector<std::vector<CellId>>& intersects,
   for (CellId c = 0; c < num_cells; ++c) heap.push({cell_deg[c], c});
 
   std::size_t parts_left = P;
-  auto drop_low_degree_parts = [&] {
-    for (std::size_t p = 0; p < P; ++p) {
-      if (!part_alive[p] || part_deg[p] > 2) continue;
-      part_alive[p] = 0;
-      --parts_left;
-      for (CellId c : cells_of_part[p])
-        if (cell_alive[c]) {
-          out.missing_cells_of_part[p].push_back(c);
-          --cell_deg[c];
-          heap.push({cell_deg[c], c});
-        }
-    }
+  auto drop_if_low_degree = [&](std::size_t p) {
+    if (!part_alive[p] || part_deg[p] > 2) return;
+    part_alive[p] = 0;
+    --parts_left;
+    for (CellId c : cells_of_part[p])
+      if (cell_alive[c]) {
+        out.missing_cells_of_part[p].push_back(c);
+        --cell_deg[c];
+        heap.push({cell_deg[c], c});
+      }
   };
 
-  drop_low_degree_parts();
+  for (std::size_t p = 0; p < P; ++p) drop_if_low_degree(p);
   while (parts_left > 0 && !heap.empty()) {
     auto [deg, c] = heap.top();
     heap.pop();
@@ -153,7 +151,10 @@ CellAssignment assign_cells(const std::vector<std::vector<CellId>>& intersects,
         ++assigned;
       }
     out.beta = std::max(out.beta, assigned);
-    drop_low_degree_parts();
+    // Only c's parts lost a degree, and parts_of_cell[c] is in ascending
+    // part id, so this drops exactly what a full rescan would, in order.
+    for (std::int32_t p : parts_of_cell[c])
+      drop_if_low_degree(static_cast<std::size_t>(p));
   }
   return out;
 }

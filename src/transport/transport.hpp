@@ -48,7 +48,7 @@ class TransportError : public std::runtime_error {
 
 /// One finished round's canonical in-flight traffic, exactly as the
 /// simulator merged it (DESIGN.md §9 wire format: packed directed slot
-/// `2e + side` + 16-byte payload, SoA). Spans alias the simulator's arena
+/// `2e + side` + 16-byte payload, SoA). Spans alias the simulator's round
 /// buffers and are valid only for the duration of the exchange() call.
 struct RoundTraffic {
   /// The simulator's round counter AFTER this round was counted (1-based).
