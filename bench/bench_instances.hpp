@@ -1,15 +1,23 @@
-// Shared adversarial instances for the workload harnesses (bench_rounds,
-// bench_session, bench_scale). Each builder produces a small-diameter network
-// of one certificate family together with weights whose cheap routes are
-// LONG — the D << shortest-path-hops / snake-fragment regime the paper's
-// theorems speak to, where shortcuts are essential.
+// The shared instances of the workload benches (bench_rounds' E15,
+// bench_sessions, bench_scale) and of `mnsctl gen`, and the one definition
+// of the long-cell SSSP parameters and of the (1+eps) check against
+// Dijkstra they all use. Each instance function produces a small-diameter
+// network of one certificate family together with weights whose cheap
+// routes are LONG — the D << shortest-path-hops / snake-fragment regime the
+// paper's theorems speak to, where shortcuts are essential.
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
+#include "congest/solve_handle.hpp"
 #include "core/certificate.hpp"
+#include "gen/apex.hpp"
 #include "gen/planar.hpp"
 #include "graph/algorithms.hpp"
 #include "graph/graph.hpp"
@@ -264,6 +272,142 @@ inline StructuralCertificate apex_chain_certificate(const ApexChain& chain) {
   cert.apex_aware = true;
   cert.bag_apices = chain.bag_apices;
   return cert;
+}
+
+// ------------------------------------------------------------------------
+// The four adversarial families.
+
+/// A network of one certificate family with its adversarial weights.
+struct FamilyInstance {
+  std::string family;
+  Graph graph;
+  std::vector<Weight> weights;
+  StructuralCertificate cert;
+};
+
+/// The four families, each keyed by one size: planar (grid side; greedy
+/// certificate), treewidth (spine length of a hubbed 3-path, with its path
+/// decomposition), apex (side of a grid with one satellite apex attached to
+/// ~10% of it; Lemma 9 certificate) and cliquesum (bags of an apexed grid
+/// chain; Theorem 6 pipeline). The generator is seeded from the size
+/// (100 + side for apex) unless `seed` overrides it, so a bench row and an
+/// `mnsctl gen` snapshot of one family and size are the same network. A
+/// size <= 0 selects the family's smallest benched size (16, 256, 16, 4):
+/// the smoke instance of E15-E17 and mnsctl gen's default.
+inline FamilyInstance family_instance(const std::string& family, int size,
+                                      std::optional<unsigned> seed = {}) {
+  FamilyInstance out;
+  out.family = family;
+  if (family == "planar") {
+    if (size <= 0) size = 16;
+    Rng rng(seed.value_or(static_cast<unsigned>(size)));
+    // grid_graph streams edges straight into the GraphBuilder (no embedding
+    // rotations materialized): the graph of gen::grid, half the peak.
+    out.graph = gen::grid_graph(size, size);
+    out.weights = dfs_light_weights(out.graph, rng);
+    out.cert = greedy_certificate();
+  } else if (family == "treewidth") {
+    if (size <= 0) size = 256;
+    Rng rng(seed.value_or(static_cast<unsigned>(size)));
+    HubbedKPath kt = hubbed_kpath(size, 3);
+    out.graph = std::move(kt.graph);
+    out.weights = spine_light_weights(out.graph, size, rng);
+    out.cert = treewidth_certificate(std::move(kt.decomposition));
+  } else if (family == "apex") {
+    if (size <= 0) size = 16;
+    Rng rng(seed.value_or(static_cast<unsigned>(100 + size)));
+    gen::ApexResult ar =
+        gen::add_apices(gen::grid_graph(size, size), 1, 0.10, rng);
+    out.graph = std::move(ar.graph);
+    out.weights = dfs_light_weights(out.graph, rng);
+    out.cert = apex_certificate(ar.apices);
+  } else if (family == "cliquesum") {
+    if (size <= 0) size = 4;
+    Rng rng(seed.value_or(static_cast<unsigned>(size)));
+    ApexChain chain = apexed_chain_cliquesum(size, rng);
+    out.cert = apex_chain_certificate(chain);
+    out.graph = std::move(chain.graph);
+    out.weights = std::move(chain.weights);
+  } else {
+    throw std::invalid_argument("unknown family '" + family +
+                                "' (planar|treewidth|apex|cliquesum)");
+  }
+  return out;
+}
+
+/// The families at the given sizes, in the order planar, treewidth, apex,
+/// cliquesum, each family's sizes in the order given. A smoke run keeps
+/// only each family's first size.
+inline std::vector<FamilyInstance> family_instances(
+    const std::vector<int>& planar, const std::vector<int>& treewidth,
+    const std::vector<int>& apex, const std::vector<int>& cliquesum,
+    bool smoke = false) {
+  std::vector<FamilyInstance> out;
+  for (const auto& [family, sizes] :
+       {std::pair{"planar", &planar}, {"treewidth", &treewidth},
+        {"apex", &apex}, {"cliquesum", &cliquesum}})
+    for (std::size_t i = 0; i < (smoke ? 1 : sizes->size()); ++i)
+      out.push_back(family_instance(family, (*sizes)[i]));
+  return out;
+}
+
+// ------------------------------------------------------------------------
+// (1+eps) SSSP: the long-cell parameters and the check against Dijkstra.
+
+/// The slack of every (1+eps) SSSP row.
+inline constexpr double kSsspEpsilon = 0.25;
+
+/// The long-cell (1+eps) SSSP parameters, on a congest::ApproxSssp or a
+/// congest::WorkloadParams over n vertices: eps = kSsspEpsilon, and
+/// max(8, floor(sqrt n)/8) Voronoi seeds, so cells span several
+/// jump-costs' worth of hops and pay for their aggregations. The uniform
+/// seed spread covers the whole network from the start, so repartition
+/// growth 1.0 keeps one partition phase (the uncovered-wavefront trigger
+/// still guards the pathological case). The cells are source-independent,
+/// so a k-source batch reuses one partition's shortcut from the cache.
+template <class Query>
+Query long_cells(Query q, VertexId n) {
+  q.epsilon = kSsspEpsilon;
+  q.num_seeds = std::max<VertexId>(
+      8, static_cast<VertexId>(std::sqrt(static_cast<double>(n))) / 8);
+  q.repartition_growth = 1.0;
+  q.wavefront_seeds = false;
+  return q;
+}
+
+/// The parameter set of every `mnsctl` run and of the session benches'
+/// by-name solves: the long cells, whose source-independence makes a warmed
+/// snapshot's partitions the ones a later solve asks for, and 6 packing
+/// trees for min-cut.
+inline congest::WorkloadParams workload_params(const Graph& g,
+                                               std::vector<Weight> weights) {
+  congest::WorkloadParams p;
+  p.weights = std::move(weights);
+  p.num_trees = 6;
+  return long_cells(std::move(p), g.num_vertices());
+}
+
+/// A (1+eps) SSSP answer checked against Dijkstra from the same source.
+struct ApproxCheck {
+  bool ok = true;          ///< every reached vertex within [d, (1+eps) d]
+  double max_ratio = 1.0;  ///< largest dist/d over vertices with d > 0
+};
+
+inline ApproxCheck check_approx_sssp(const Graph& g,
+                                     const std::vector<Weight>& w,
+                                     VertexId source,
+                                     const std::vector<Weight>& dist,
+                                     double eps = kSsspEpsilon) {
+  const std::vector<Weight> exact = dijkstra(g, w, source).dist;
+  ApproxCheck c;
+  for (std::size_t v = 0; v < exact.size(); ++v) {
+    if (exact[v] == kUnreachedWeight) continue;
+    const double d = static_cast<double>(exact[v]);
+    const double got = static_cast<double>(dist[v]);
+    if (dist[v] < exact[v] || got > (1.0 + eps + 1e-9) * d) c.ok = false;
+    if (exact[v] > 0) c.max_ratio = std::max(c.max_ratio, got / d);
+  }
+  return c;
 }
 
 }  // namespace mns::bench

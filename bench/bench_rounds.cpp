@@ -12,7 +12,6 @@
 // Set MNS_BENCH_SMOKE=1 to run only the smallest E15 instance per family
 // (CI); E11-E13 always run in full.
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <string>
 #include <utility>
@@ -21,7 +20,6 @@
 #include "bench_instances.hpp"
 #include "bench_util.hpp"
 #include "congest/distributed_shortcut.hpp"
-#include "gen/apex.hpp"
 #include "gen/basic.hpp"
 #include "gen/clique_sum.hpp"
 #include "gen/lower_bound.hpp"
@@ -242,89 +240,41 @@ bool e13_aggregation(bench::JsonReport& report) {
 // one round per hop while the hop diameter stays small; cluster jumps leap
 // whole Voronoi cells. Checked against Dijkstra: exact for Bellman-Ford,
 // within [d, (1+eps) d] for the approximation.
-bool e15_case(bench::JsonReport& report, const char* family, const Graph& g,
-              const std::vector<Weight>& w, StructuralCertificate cert) {
-  const double eps = 0.25;
+bool e15_case(bench::JsonReport& report, const bench::FamilyInstance& inst) {
+  const Graph& g = inst.graph;
   const VertexId source = 0;
-  const ShortestPathResult oracle = dijkstra(g, w, source);
+  congest::Session session = bench::make_session(g, inst.cert);
+  const congest::RunReport bf =
+      session.solve(congest::ExactSssp{inst.weights, source});
+  const bool exact_ok =
+      bf.sssp().dist == dijkstra(g, inst.weights, source).dist;
 
-  congest::Session session = bench::make_session(g, std::move(cert));
-  congest::RunReport bf = session.solve(congest::ExactSssp{w, source});
-  const bool exact_ok = bf.sssp().dist == oracle.dist;
-
-  congest::ApproxSssp query{w, source};
-  query.epsilon = eps;
-  // Cells must span several jump-costs' worth of hops to pay for their
-  // aggregations; sqrt(n)/8 seeds keep them long on every benched family.
-  // The uniform seed spread covers the whole network from the start, so one
-  // partition phase suffices (the uncovered-wavefront trigger still guards
-  // the pathological case).
-  query.num_seeds = std::max<VertexId>(
-      8, static_cast<VertexId>(std::sqrt(static_cast<double>(
-             g.num_vertices()))) / 8);
-  query.repartition_growth = 1.0;
-  congest::RunReport ap = session.solve(query);
-  double max_ratio = 1.0;
-  bool approx_ok = true;
-  const std::vector<Weight>& ap_dist = ap.sssp().dist;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (oracle.dist[v] == kUnreachedWeight || oracle.dist[v] == 0) continue;
-    if (ap_dist[v] < oracle.dist[v]) approx_ok = false;
-    max_ratio = std::max(max_ratio, static_cast<double>(ap_dist[v]) /
-                                        static_cast<double>(oracle.dist[v]));
-  }
-  approx_ok = approx_ok && max_ratio <= 1.0 + eps + 1e-9;
+  // The long cells, seeded along the source's wavefront rather than
+  // source-independently.
+  congest::ApproxSssp query = bench::long_cells(
+      congest::ApproxSssp{inst.weights, source}, g.num_vertices());
+  query.wavefront_seeds = true;
+  const congest::RunReport ap = session.solve(query);
+  const bench::ApproxCheck approx = bench::check_approx_sssp(
+      g, inst.weights, source, ap.sssp().dist);
   return verdict(
-      row(report, "E15").set("family", family).set("n", g.num_vertices())
-          .set("epsilon", eps)
+      row(report, "E15").set("family", inst.family).set("n", g.num_vertices())
+          .set("epsilon", query.epsilon)
           .set("rounds_bellman_ford", bf.total_rounds())
           .set("messages_bellman_ford", bf.messages)
           .set("vs_bellman_ford", static_cast<double>(bf.total_rounds()) /
                                       static_cast<double>(ap.total_rounds()))
           .set_run(ap).set("jumps", ap.aggregations)
-          .set("max_ratio", max_ratio),
-      exact_ok && approx_ok);
+          .set("max_ratio", approx.max_ratio),
+      exact_ok && approx.ok);
 }
 
 bool e15_sssp(bench::JsonReport& report, bool smoke) {
   bench::header("E15: SSSP rounds ((1+eps) vs Bellman-Ford)");
-  // The smoke run keeps the smallest instance of each family.
-  auto sizes = [smoke](std::vector<int> all) {
-    if (smoke) all.resize(1);
-    return all;
-  };
   bool ok = true;
-  for (int side : sizes({16, 32, 64})) {
-    Graph g = gen::grid(side, side).graph();
-    Rng rng(static_cast<unsigned>(side));
-    ok &= e15_case(report, "planar", g, bench::dfs_light_weights(g, rng),
-                   greedy_certificate());
-  }
-  // Hubbed k-paths with their recorded decompositions.
-  for (int n : sizes({256, 1024, 4096})) {
-    Rng rng(static_cast<unsigned>(n));
-    bench::HubbedKPath kt = bench::hubbed_kpath(n, 3);
-    ok &= e15_case(report, "treewidth", kt.graph,
-                   bench::spine_light_weights(kt.graph, n, rng),
-                   treewidth_certificate(kt.decomposition));
-  }
-  // Grid + satellite apex with the Lemma 9 certificate.
-  for (int side : sizes({16, 32, 64})) {
-    Rng rng(static_cast<unsigned>(100 + side));
-    gen::ApexResult ar =
-        gen::add_apices(gen::grid(side, side).graph(), 1, 0.10, rng);
-    ok &= e15_case(report, "apex", ar.graph,
-                   bench::dfs_light_weights(ar.graph, rng),
-                   apex_certificate(ar.apices));
-  }
-  // A chain of apexed grid bags through the full Theorem 6 pipeline
-  // (clique-sum folding + Lemma 9 apex-aware local oracles).
-  for (int bags : sizes({4, 16, 64})) {
-    Rng rng(static_cast<unsigned>(bags));
-    bench::ApexChain chain = bench::apexed_chain_cliquesum(bags, rng);
-    ok &= e15_case(report, "cliquesum", chain.graph, chain.weights,
-                   bench::apex_chain_certificate(chain));
-  }
+  for (const bench::FamilyInstance& inst : bench::family_instances(
+           {16, 32, 64}, {256, 1024, 4096}, {16, 32, 64}, {4, 16, 64}, smoke))
+    ok &= e15_case(report, inst);
   return ok;
 }
 

@@ -30,7 +30,6 @@
 // Set MNS_BENCH_SMOKE=1 for the n = 2^14 shapes of the same two instances
 // (CI); the committed baseline bench/baselines/scale.json is the smoke run.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -48,16 +47,17 @@ namespace {
 
 // DESIGN.md §9 peak-RSS budget: fixed process overhead (binary, runtime,
 // shortcut-engine registry, JSON report) plus a per-vertex envelope covering
-// the instance (graph + weights), the session (tree + cached shortcuts), and
-// the dominant cost — the aggregation engine's per-phase participation
-// state, which grows superlinearly in n (measured ~x7.2 RSS per x4 vertices
-// on the planar family: 317 MiB at 2^16, 2.2 GiB at 2^18, Release, 4-core
-// box). The LINEAR envelope is therefore calibrated at the binding top
-// scale (n = 2^20; set with ~25% headroom over an extrapolated ~21 GiB
-// peak, which the figures above now put near 16 GiB; it is refit from a
-// full-depth run) and is deliberately loose at smoke sizes — the verdict
-// still catches order-of-magnitude regressions there, and the n = 2^20 rows
-// are the real subject.
+// the instance (graph + weights), the session (tree + cached shortcuts) and
+// the solves' working state. Peak RSS grows superlinearly in n (measured
+// ~x7.2 per x4 vertices on the planar family: 317 MiB at 2^16, 2.2 GiB at
+// 2^18, Release, 4-core box), and where that growth lives is unmeasured:
+// neither construction's (set, vertex) table nor the round buffers were it
+// (ROADMAP item 1). The LINEAR envelope is therefore calibrated at the
+// binding top scale (n = 2^20; set with ~25% headroom over an extrapolated
+// ~21 GiB peak, which the figures above now put near 16 GiB; it is refit
+// from a full-depth run) and is deliberately loose at smoke sizes — the
+// verdict still catches order-of-magnitude regressions there, and the
+// n = 2^20 rows are the real subject.
 constexpr long long kBudgetFixedBytes = 256LL << 20;   // 256 MiB
 constexpr long long kBudgetPerVertexBytes = 26LL << 10;  // 26 KiB / vertex
 
@@ -109,23 +109,11 @@ bool run_instance(bench::JsonReport& report, const char* family, Graph graph,
 
   // -- sssp.approx: source-independent long Voronoi cells (the cacheable
   // configuration benched everywhere else), checked against Dijkstra --
-  congest::ApproxSssp query{std::move(weights), /*source=*/0};
-  query.epsilon = 0.25;
-  query.num_seeds = std::max<VertexId>(
-      8, static_cast<VertexId>(std::sqrt(static_cast<double>(n))) / 8);
-  query.repartition_growth = 1.0;
-  query.wavefront_seeds = false;
+  const congest::ApproxSssp query =
+      bench::long_cells(congest::ApproxSssp{std::move(weights), 0}, n);
   congest::RunReport sssp = session.solve(query);
-  ShortestPathResult oracle = dijkstra(graph, query.weights, 0);
-  bool approx_ok = true;
-  const std::vector<Weight>& dist = sssp.sssp().dist;
-  for (VertexId v = 0; v < n && approx_ok; ++v) {
-    if (oracle.dist[v] == kUnreachedWeight) continue;
-    if (dist[v] < oracle.dist[v]) approx_ok = false;
-    if (static_cast<double>(dist[v]) >
-        (1.0 + query.epsilon + 1e-9) * static_cast<double>(oracle.dist[v]))
-      approx_ok = false;
-  }
+  const bool approx_ok =
+      bench::check_approx_sssp(graph, query.weights, 0, sssp.sssp().dist).ok;
   emit("sssp.approx", sssp, approx_ok);
   return ok;
 }
@@ -155,12 +143,10 @@ int main() {
   // -- clique-sum: apexed-grid chain; 256 fresh vertices + 1 apex per bag
   // (n = 256 * bags + 1), so 2^14 / 2^20 vertices at 64 / 4096 bags --
   {
-    const int bags = smoke ? 64 : 4096;
-    Rng rng(static_cast<unsigned>(bags));
-    bench::ApexChain chain = bench::apexed_chain_cliquesum(bags, rng);
-    StructuralCertificate cert = bench::apex_chain_certificate(chain);
+    bench::FamilyInstance chain =
+        bench::family_instance("cliquesum", smoke ? 64 : 4096);
     all_ok &= run_instance(report, "cliquesum", std::move(chain.graph),
-                           std::move(chain.weights), std::move(cert));
+                           std::move(chain.weights), std::move(chain.cert));
   }
 
   all_ok &= report.write();

@@ -12,8 +12,8 @@
 //   mnsctl build net.mns --workload sssp.approx     # pay construction once
 //   mnsctl solve net.mns --workload sssp.approx -o report.json
 //   mnsctl inspect net.mns
-//   mnsctl diff --baseline bench/baselines/session.json BENCH_session.json
-//   mnsctl baseline BENCH_session.json -o bench/baselines/session.json
+//   mnsctl diff --baseline bench/baselines/sessions.json BENCH_sessions.json
+//   mnsctl baseline BENCH_sessions.json -o bench/baselines/sessions.json
 //
 // Exit codes: 0 ok, 1 drift / verification failure, 2 usage or I/O error.
 #include <signal.h>
@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -35,8 +34,6 @@
 
 #include "bench_instances.hpp"
 #include "congest/session.hpp"
-#include "gen/apex.hpp"
-#include "gen/planar.hpp"
 #include "io/fnv.hpp"
 #include "io/json.hpp"
 #include "io/report_json.hpp"
@@ -284,74 +281,19 @@ bool parse_args(int argc, char** argv, int first, Args& out) {
   return true;
 }
 
-// ------------------------------------------------------------- instances --
-
-/// Seeded family instance — the same generators and default seeds as
-/// bench_session and bench_rounds' E15, so snapshots reproduce the bench
-/// trajectories.
-io::Snapshot gen_instance(const std::string& family, long long size,
-                          std::optional<unsigned> seed) {
-  io::Snapshot snap;
-  if (family == "planar") {
-    const int side = size > 0 ? static_cast<int>(size) : 16;
-    Rng rng(seed.value_or(static_cast<unsigned>(side)));
-    // grid_graph streams edges straight into the builder (no embedding
-    // rotations materialized) — same graph, half the generation peak.
-    snap.graph = gen::grid_graph(side, side);
-    snap.weights = bench::dfs_light_weights(snap.graph, rng);
-    snap.certificate = greedy_certificate();
-  } else if (family == "treewidth") {
-    const VertexId n = size > 0 ? static_cast<VertexId>(size) : 256;
-    Rng rng(seed.value_or(static_cast<unsigned>(n)));
-    bench::HubbedKPath kt = bench::hubbed_kpath(n, 3);
-    snap.graph = std::move(kt.graph);
-    snap.weights = bench::spine_light_weights(snap.graph, n, rng);
-    snap.certificate = treewidth_certificate(std::move(kt.decomposition));
-  } else if (family == "apex") {
-    const int side = size > 0 ? static_cast<int>(size) : 16;
-    Rng rng(seed.value_or(static_cast<unsigned>(100 + side)));
-    gen::ApexResult ar =
-        gen::add_apices(gen::grid(side, side).graph(), 1, 0.10, rng);
-    snap.graph = std::move(ar.graph);
-    snap.weights = bench::dfs_light_weights(snap.graph, rng);
-    snap.certificate = apex_certificate(ar.apices);
-  } else if (family == "cliquesum") {
-    const int bags = size > 0 ? static_cast<int>(size) : 4;
-    Rng rng(seed.value_or(static_cast<unsigned>(bags)));
-    bench::ApexChain chain = bench::apexed_chain_cliquesum(bags, rng);
-    snap.certificate = bench::apex_chain_certificate(chain);
-    snap.graph = std::move(chain.graph);
-    snap.weights = std::move(chain.weights);
-  } else {
-    throw std::invalid_argument("unknown family '" + family +
-                                "' (planar|treewidth|apex|cliquesum)");
-  }
-  return snap;
-}
-
-/// The deterministic parameter set every mnsctl run (and the bench rows it
-/// is diffed against) uses: source-independent Voronoi cells so a warmed
-/// snapshot's partitions are the ones a later solve asks for.
-congest::WorkloadParams default_params(const Graph& g,
-                                       std::vector<Weight> weights) {
-  congest::WorkloadParams p;
-  p.weights = std::move(weights);
-  p.num_trees = 6;
-  p.epsilon = 0.25;
-  p.num_seeds = std::max<VertexId>(
-      8, static_cast<VertexId>(
-             std::sqrt(static_cast<double>(g.num_vertices()))) / 8);
-  p.repartition_growth = 1.0;
-  p.wavefront_seeds = false;
-  return p;
-}
-
 // ------------------------------------------------------------ subcommands --
 
 int cmd_gen(const Args& args) {
   if (args.family.empty()) return usage_error("gen requires --family");
   if (args.output.empty()) return usage_error("gen requires -o <snapshot>");
-  io::Snapshot snap = gen_instance(args.family, args.size, args.seed);
+  // The builder of the bench rows (bench_sessions' E16, bench_rounds' E15),
+  // so a snapshot reproduces the bench trajectory of its family and size.
+  bench::FamilyInstance inst = bench::family_instance(
+      args.family, static_cast<int>(args.size), args.seed);
+  io::Snapshot snap;
+  snap.graph = std::move(inst.graph);
+  snap.weights = std::move(inst.weights);
+  snap.certificate = std::move(inst.cert);
   io::write_snapshot(snap, args.output);
   std::printf(
       "{\"command\": \"gen\", \"family\": %s, \"vertices\": %d, "
@@ -371,7 +313,8 @@ int cmd_build(const Args& args) {
   io::Snapshot snap = io::read_snapshot(path);
   std::vector<Weight> weights = snap.weights;
   congest::Session session = congest::Session::restore(std::move(snap));
-  congest::WorkloadParams params = default_params(session.graph(), weights);
+  congest::WorkloadParams params =
+      bench::workload_params(session.graph(), weights);
   congest::SolveOptions opt;
   opt.threads = args.threads;
   congest::RunReport report = session.solve(workload, params, opt);
@@ -520,7 +463,7 @@ int cmd_solve(const Args& args) {
   std::vector<Weight> weights = snap.weights;
   congest::Session session = congest::Session::restore(std::move(snap));
   congest::WorkloadParams params =
-      default_params(session.graph(), std::move(weights));
+      bench::workload_params(session.graph(), std::move(weights));
   congest::SolveOptions opt;
   opt.threads = args.threads;
   opt.use_cache = !args.cold;
@@ -572,7 +515,8 @@ int cmd_serve(const Args& args) {
   serve::QueryServer server(core, cfg);
 
   const Graph& g = server.core().graph();
-  congest::WorkloadParams params = default_params(g, std::move(weights));
+  congest::WorkloadParams params =
+      bench::workload_params(g, std::move(weights));
   std::vector<serve::Request> batch;
   batch.reserve(static_cast<std::size_t>(args.requests));
   const VertexId stride =
@@ -717,7 +661,7 @@ int run_dist_rank(const Args& args, const std::string& workload, int rank,
     }
 
   congest::WorkloadParams params =
-      default_params(session.graph(), std::move(weights));
+      bench::workload_params(session.graph(), std::move(weights));
   congest::SolveOptions opt;
   opt.threads = args.threads;
   session.set_transport(&transport);
@@ -966,6 +910,9 @@ int cmd_inspect(const Args& args) {
 bool is_volatile_key(const std::string& key) {
   return key == "wall_time_ms" || key == "hardware_concurrency" ||
          key == "peak_rss_bytes" || key == "qps" ||
+         // A ratio of two wall clocks (E17's threads = 1 time over this
+         // width's), as volatile as the clocks themselves.
+         key == "speedup" ||
          // Transport delivery counters depend on timing and injected faults
          // (DESIGN.md §11); the deterministic transport fields
          // (rounds_exchanged, wire_records) stay gated.

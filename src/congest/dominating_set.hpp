@@ -13,8 +13,8 @@
 // distance 2 at selection time — the greedy invariant. On the repo's
 // minor-excluded certificate families (bounded degeneracy) the measured size
 // stays within a small constant of the sequential greedy oracle; that ratio
-// is a pinned regression quantity (tests + bench_workloads baselines), not a
-// proven theorem. The phase count is finite because the globally
+// is a pinned regression quantity (tests + bench_sessions' E22 baseline), not
+// a proven theorem. The phase count is finite because the globally
 // span-maximum vertex always selects itself, covering >= 1 new vertex.
 //
 // Determinism: span ties break by smaller vertex id; every cross-vertex

@@ -99,8 +99,8 @@ class Session {
   /// fingerprints, so the first solve over a snapshotted partition is a
   /// cache HIT — bit-identical to the in-process warm solve and with
   /// charged_construction_rounds == 0 (pinned by tests/test_snapshot.cpp
-  /// and bench_session's restore rows). `config.tree` only applies if the
-  /// snapshot carries no tree.
+  /// and bench_sessions' E16 restore rows). `config.tree` only applies if
+  /// the snapshot carries no tree.
   [[nodiscard]] static Session restore(io::Snapshot snapshot,
                                        SessionConfig config = {});
   /// read_snapshot(path) + restore. Throws io::SnapshotError on corruption.

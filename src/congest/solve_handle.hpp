@@ -155,7 +155,7 @@ struct RunReport {
   /// Worker threads the round engine fanned this run over (DESIGN.md §7).
   /// Purely a wall-clock knob: every other field of the report is
   /// bit-identical across thread counts (pinned by the test_session parity
-  /// sweep and bench_parallel_scaling).
+  /// sweep and bench_sessions' E17).
   int threads = 1;
   /// Substitution charges for constructions paid by this run (DESIGN.md §2);
   /// cache hits re-pay nothing, so warm runs charge less than cold ones.

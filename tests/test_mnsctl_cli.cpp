@@ -143,4 +143,35 @@ TEST(MnsctlCli, BaselineDiffMasksTransportDeliveryCounters) {
   EXPECT_EQ(drift.exit_code, 1) << drift.output;
 }
 
+TEST(MnsctlCli, BaselineDiffMasksWallClockRatios) {
+  if (std::getenv("MNSCTL_BIN") == nullptr)
+    GTEST_SKIP() << "MNSCTL_BIN not set (examples not built)";
+  // Throughput and parallel speedup are ratios of wall clocks: they differ
+  // between two runs of the same binary, the rounds beside them do not.
+  const std::string dir = ::testing::TempDir() + "mnsctl_cli_ratios";
+  ASSERT_EQ(std::system(("mkdir -p " + dir).c_str()), 0);
+  const auto write = [&](const std::string& name, const std::string& json) {
+    FILE* f = std::fopen((dir + "/" + name).c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(json.c_str(), f);
+    std::fclose(f);
+  };
+  write("ref.json",
+        R"({"rows": [{"threads": 4, "rounds": 269, "speedup": 1.91,)"
+        R"( "qps": 812.5, "parity": "ok"}]})");
+  write("noisy.json",
+        R"({"rows": [{"threads": 4, "rounds": 269, "speedup": 0.73,)"
+        R"( "qps": 301.0, "parity": "ok"}]})");
+  write("drift.json",
+        R"({"rows": [{"threads": 4, "rounds": 270, "speedup": 1.91,)"
+        R"( "qps": 812.5, "parity": "ok"}]})");
+  const CliResult noisy = run_mnsctl("diff --baseline " + dir + "/ref.json " +
+                                     dir + "/noisy.json");
+  EXPECT_EQ(noisy.exit_code, 0) << noisy.output;
+  const CliResult drift = run_mnsctl("diff --baseline " + dir + "/ref.json " +
+                                     dir + "/drift.json");
+  EXPECT_EQ(drift.exit_code, 1) << drift.output;
+  EXPECT_NE(drift.output.find("rounds"), std::string::npos) << drift.output;
+}
+
 }  // namespace

@@ -54,7 +54,8 @@ Graph path_graph(VertexId n) {
 /// BFS-tree edges get the light weights 1..n-1 (in discovery order), every
 /// other edge is heavier than any all-light path: the MST is the BFS tree,
 /// and re-weighting a heavy edge to a LARGER value changes no comparison
-/// Boruvka ever makes (the bench_churn hit-preservation trick, in miniature).
+/// Boruvka ever makes (bench_sessions' E21 hit-preservation trick, in
+/// miniature).
 std::vector<Weight> tree_light_weights(const Graph& g) {
   const VertexId n = g.num_vertices();
   std::vector<char> seen(static_cast<std::size_t>(n), 0);

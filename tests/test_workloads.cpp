@@ -187,7 +187,7 @@ TEST(DomsetWorkload, OracleBoundedOnEveryFamily) {
     EXPECT_GT(p.size, 0);
     EXPECT_GT(r.phases, 0);
     // Approximation contract: within a small constant of the sequential
-    // greedy (the exact per-family sizes are pinned by bench_workloads).
+    // greedy (the exact per-family sizes are pinned by bench_sessions' E22).
     const std::vector<char> oracle = congest::greedy_dominating_set(fam.graph);
     EXPECT_EQ(congest::verify_dominating_set(fam.graph, oracle), "");
     const VertexId oracle_size = popcount(oracle);
