@@ -4,10 +4,11 @@
 // aggregation beside the quality q = b*d + c of the shortcut that carried
 // it, and E15 runs SSSP, the abstract's third problem. One function per
 // experiment; every row is tagged "experiment": "E<k>" and records
-// "verified" against a sequential oracle. Writes BENCH_rounds.json, which CI
-// diffs against bench/baselines/rounds.json (DESIGN.md §8). Fixed seeds, so
-// every run gives the same rows; main exits nonzero if any row fails its
-// oracle or the report cannot be written.
+// "verified" against a sequential oracle (E13 also against its quality
+// bound). Writes BENCH_rounds.json, which CI diffs against
+// bench/baselines/rounds.json (DESIGN.md §8). Fixed seeds, so every run
+// gives the same rows; main exits nonzero if any row fails its verdict or
+// the report cannot be written.
 //
 // Set MNS_BENCH_SMOKE=1 to run only the smallest E15 instance per family
 // (CI); E11-E13 always run in full.
@@ -135,8 +136,10 @@ bool e12_mincut(bench::JsonReport& report) {
 // quality q = b*d + c. Same network and parts, a different shortcut per row:
 // none (flooding), then one certificate per row swapped into a shared
 // Session (set_certificate invalidates the cache, analyze() measures the
-// build and seeds it, solve(Aggregate) measures the rounds). Every row's
-// part minima are checked against a sequential scan of the same inputs.
+// build and seeds it, solve(Aggregate) measures the rounds). A row is
+// verified only if its part minima match a sequential scan of the same
+// inputs and its measured rounds do not exceed the quality (Theorem 1's
+// bound).
 
 /// Per-vertex inputs from a multiplicative hash, tie-broken by vertex id.
 std::vector<congest::AggValue> hashed_values(VertexId n) {
@@ -168,7 +171,8 @@ bool e13_instance(bench::JsonReport& report, congest::Session& session,
                     const congest::RunReport& res) {
     return verdict(row(report, "E13").set("method", method)
                        .set("n", g.num_vertices()).set_metrics(m).set_run(res),
-                   res.aggregate().min_of_part == want);
+                   res.aggregate().min_of_part == want &&
+                       res.rounds <= m.quality);
   };
   const ShortcutMetrics none =
       measure_shortcut(g, session.tree(), parts, empty_shortcut(parts));
@@ -222,14 +226,15 @@ bool e13_aggregation(bench::JsonReport& report) {
   congest::PartwiseAggregator agg(wheel, sectors, built.shortcut);
   const std::vector<congest::AggValue> init = hashed_values(n);
   const congest::AggregationResult res = agg.aggregate_min(sim, init);
+  const ShortcutMetrics m = measure_shortcut(wheel, t, sectors, built.shortcut);
   ok &= verdict(row(report, "E13").set("method", "distributed greedy cap=8")
                     .set("n", n)
-                    .set_metrics(measure_shortcut(wheel, t, sectors,
-                                                  built.shortcut))
+                    .set_metrics(m)
                     .set("construction_rounds", construction)
                     .set("rounds", res.rounds)
                     .set("messages", sim.messages_sent()),
-                res.min_of_part == part_minima(sectors, init));
+                res.min_of_part == part_minima(sectors, init) &&
+                    res.rounds <= m.quality);
   return ok;
 }
 

@@ -70,9 +70,4 @@ DistributedBfsResult distributed_bfs(Simulator& sim, VertexId root) {
   return r;
 }
 
-RootedTree tree_from_distributed_bfs(const DistributedBfsResult& r,
-                                     VertexId root) {
-  return RootedTree(root, r.parent, r.parent_edge);
-}
-
 }  // namespace mns::congest

@@ -3,7 +3,6 @@
 #pragma once
 
 #include "congest/simulator.hpp"
-#include "graph/rooted_tree.hpp"
 
 namespace mns::congest {
 
@@ -18,9 +17,5 @@ struct DistributedBfsResult {
 /// Requires a connected graph.
 [[nodiscard]] DistributedBfsResult distributed_bfs(Simulator& sim,
                                                    VertexId root);
-
-/// Convenience: RootedTree from the distributed result.
-[[nodiscard]] RootedTree tree_from_distributed_bfs(
-    const DistributedBfsResult& r, VertexId root);
 
 }  // namespace mns::congest

@@ -239,9 +239,8 @@ MinCutResult approx_min_cut(Simulator& sim, const std::vector<Weight>& w,
     for (EdgeId e : mst.edges) ++load[e];
     // Per-vertex candidate cuts (verifier-grade evaluation), then a REAL
     // part-wise min aggregation over the whole network on the source's
-    // shortcut — the "one aggregation pass per tree" that used to be a
-    // skip_rounds guess, now measured round-by-round like every other
-    // distributed routine in src/congest.
+    // shortcut — the "one aggregation pass per tree", measured
+    // round-by-round like every other distributed routine in src/congest.
     std::vector<Weight> cand = options.two_respecting
                                    ? two_respecting_cut_values(g, w, mst.edges)
                                    : one_respecting_cut_values(g, w, mst.edges);

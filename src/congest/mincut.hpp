@@ -7,7 +7,7 @@
 // (2+eps)-approximation (and in practice usually exact). Each tree's cut
 // evaluation is verifier-grade centralized, but its dissemination is a real
 // part-wise aggregation over the source's shortcut (the DESIGN.md §4
-// substitution, no longer a skip_rounds guess). All distributed traffic —
+// substitution), measured, not guessed. All distributed traffic —
 // the packing MSTs and the dissemination aggregations — runs on the
 // vertex-parallel round engine (DESIGN.md §7) by composition, so min-cut
 // inherits thread scaling with bit-identical rounds/messages/values.

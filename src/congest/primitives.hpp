@@ -1,32 +1,13 @@
-// Standard CONGEST primitives on a rooted spanning tree: broadcast (root ->
-// everyone, O(height) rounds), convergecast (min toward the root, O(height)),
-// and leader election by min-id flooding (O(D) rounds). These are the O(D)
-// building blocks all shortcut algorithms assume for free ([paper §1.3.1]:
-// nodes learn n and D "in O(D) time, which is negligible in our context").
+// Standard CONGEST primitives on a rooted spanning tree: convergecast (sum
+// toward the root, O(height) rounds). The paper treats these O(D) set-up
+// steps as free ([paper §1.3.1]: nodes learn n and D "in O(D) time, which
+// is negligible in our context").
 #pragma once
 
 #include "congest/simulator.hpp"
 #include "graph/rooted_tree.hpp"
 
 namespace mns::congest {
-
-/// Broadcasts `value` from the tree root to every node; returns the per-node
-/// received values (== value everywhere) after measured rounds.
-struct BroadcastResult {
-  std::vector<std::int64_t> received;
-  long long rounds = 0;
-};
-[[nodiscard]] BroadcastResult broadcast(Simulator& sim, const RootedTree& tree,
-                                        std::int64_t value);
-
-/// Convergecast: min of all `values` flows to the root (O(height) rounds).
-struct ConvergecastResult {
-  std::int64_t min_at_root = 0;
-  long long rounds = 0;
-};
-[[nodiscard]] ConvergecastResult convergecast_min(
-    Simulator& sim, const RootedTree& tree,
-    const std::vector<std::int64_t>& values);
 
 /// Convergecast: the SUM of all `values` flows to the root (O(height)
 /// rounds) — each node reports its subtree total once every child reported.
@@ -37,24 +18,5 @@ struct ConvergecastSumResult {
 [[nodiscard]] ConvergecastSumResult convergecast_sum(
     Simulator& sim, const RootedTree& tree,
     const std::vector<std::int64_t>& values);
-
-/// Leader election by min-id flooding on the raw graph: every node ends up
-/// knowing the smallest vertex id; rounds = eccentricity-ish (O(D)).
-struct LeaderResult {
-  VertexId leader = kInvalidVertex;
-  long long rounds = 0;
-};
-[[nodiscard]] LeaderResult elect_leader(Simulator& sim);
-
-/// Distributed 2-approximate diameter: BFS from `start`, then BFS from the
-/// farthest vertex found. The paper (§1.3.1) assumes nodes know D up to
-/// constants and notes it is computable in O(D); this is that computation.
-/// Guarantees D/2 <= estimate <= D.
-struct DiameterEstimate {
-  int estimate = 0;
-  long long rounds = 0;
-};
-[[nodiscard]] DiameterEstimate estimate_diameter(Simulator& sim,
-                                                 VertexId start);
 
 }  // namespace mns::congest

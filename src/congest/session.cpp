@@ -18,20 +18,12 @@ Session::Session(std::shared_ptr<const SolverCore> core, SessionConfig config)
       execution_(config.execution),
       handle_(std::make_unique<SolveHandle>(core_, execution_)) {}
 
-void Session::swap_core(StructuralCertificate cert, CoreConfig config) {
-  core_ = std::make_shared<const SolverCore>(
-      core_->graph_ptr(), std::move(cert), std::move(config));
-  handle_->rebind(core_);
-}
-
 void Session::set_certificate(StructuralCertificate cert) {
-  swap_core(std::move(cert), core_->config());
-}
-
-void Session::set_tree_factory(TreeFactory tree) {
-  CoreConfig config = core_->config();
-  config.tree = std::move(tree);
-  swap_core(core_->certificate(), std::move(config));
+  // The successor keeps this core's graph object and knobs, so the
+  // handle's simulator stays valid.
+  core_ = std::make_shared<const SolverCore>(core_->graph_ptr(),
+                                             std::move(cert), core_->config());
+  handle_->rebind(core_);
 }
 
 // ------------------------------------------------ persistence (DESIGN.md §8)

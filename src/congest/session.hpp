@@ -150,7 +150,6 @@ class Session {
 
   // -- owned state --
   [[nodiscard]] const Graph& graph() const noexcept { return core_->graph(); }
-  [[nodiscard]] Simulator& simulator() noexcept { return handle_->simulator(); }
   /// Installs a message transport on the default handle's round engine
   /// (non-owning; DESIGN.md §11 "Transport layer").
   void set_transport(transport::Transport* transport) {
@@ -169,9 +168,6 @@ class Session {
   /// Swaps the structural knowledge; invalidates every cached shortcut (a
   /// NEW core is built over the SAME graph, so the simulator stays valid).
   void set_certificate(StructuralCertificate cert);
-  /// Swaps the tree factory; rebuilds the session tree lazily and
-  /// invalidates the cache (shortcuts are tree-restricted).
-  void set_tree_factory(TreeFactory tree);
   /// The session spanning tree (built on first use, then reused by every
   /// shortcut construction).
   [[nodiscard]] const RootedTree& tree() const { return core_->tree(); }
@@ -197,15 +193,8 @@ class Session {
   [[nodiscard]] long long cache_evictions() const noexcept {
     return handle_->cache_evictions();
   }
-  void clear_cache() { core_->clear_cache(); }
 
  private:
-  /// set_certificate/set_tree_factory: swap structural knowledge by building
-  /// a NEW core over the SAME graph object and rebinding the handle (the
-  /// old epoch-bump-and-flush, expressed as core replacement). `config` is
-  /// the current core's, with at most the tree factory replaced.
-  void swap_core(StructuralCertificate cert, CoreConfig config);
-
   std::shared_ptr<const SolverCore> core_;
   /// The per-solve execution policy, kept so update() can recreate the
   /// default handle over a successor graph.

@@ -39,8 +39,7 @@ void Simulator::set_execution_policy(ExecutionPolicy policy) {
       throw std::logic_error(
           "Simulator::set_execution_policy: staged sends pending; the policy "
           "may only change between rounds");
-  policy_ = policy;
-  const int resolved = policy_.resolved();
+  const int resolved = policy.resolved();
   if (resolved != num_shards_) {
     num_shards_ = resolved;
     // The old shards were verified empty above.
@@ -204,14 +203,6 @@ RoundBatch Simulator::finish_round_batch() {
   return RoundBatch{{batch_to_.data(), batch_to_.size()},
                     {inbox_slot_.data(), inbox_slot_.size()},
                     {inbox_msg_.data(), inbox_msg_.size()}};
-}
-
-void Simulator::skip_rounds(long long rounds) {
-  if (rounds < 0)
-    throw std::invalid_argument(
-        "Simulator::skip_rounds: negative round count would corrupt the "
-        "charged-round accounting");
-  rounds_ += rounds;
 }
 
 }  // namespace mns::congest

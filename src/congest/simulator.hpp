@@ -196,9 +196,6 @@ class Simulator {
   /// How the per-round work is fanned out. May only change between rounds
   /// (throws if sends are pending).
   void set_execution_policy(ExecutionPolicy policy);
-  [[nodiscard]] const ExecutionPolicy& execution_policy() const noexcept {
-    return policy_;
-  }
   /// Resolved shard count (== worker threads the engine fans over).
   [[nodiscard]] int num_shards() const noexcept { return num_shards_; }
   /// The lazily created worker pool matching the policy. Only meaningful
@@ -237,9 +234,6 @@ class Simulator {
   /// be detached with nullptr). May only change between rounds, like
   /// set_execution_policy(). Default none == InProcessTransport semantics.
   void set_transport(transport::Transport* transport);
-  [[nodiscard]] transport::Transport* transport_hook() const noexcept {
-    return transport_;
-  }
 
   /// Messages delivered to v in the round that just finished, as a decoding
   /// view over the packed buffers (empty after finish_round_batch()). The
@@ -263,11 +257,6 @@ class Simulator {
   [[nodiscard]] std::span<const VertexId> delivered_to() const noexcept {
     return {frontier_.data(), frontier_.size()};
   }
-
-  /// Advances the round counter by `rounds` without communication (used to
-  /// account for idle/waiting rounds in lock-step algorithms). Throws on
-  /// negative counts without touching any state.
-  void skip_rounds(long long rounds);
 
   [[nodiscard]] long long rounds() const noexcept { return rounds_; }
   [[nodiscard]] long long messages_sent() const noexcept { return messages_; }
@@ -296,7 +285,6 @@ class Simulator {
   [[noreturn]] static void throw_capacity_violation();
 
   const Graph* g_;
-  ExecutionPolicy policy_;
   int num_shards_ = 0;  ///< 0 until the constructor applies the policy
   std::unique_ptr<SendShard[]> shards_;
   std::unique_ptr<WorkerPool> pool_;

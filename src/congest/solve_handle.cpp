@@ -166,7 +166,6 @@ RunReport SolveHandle::solve(const Mst& q, const SolveOptions& opt) {
   return run("mst", opt, [&](RunReport& r) {
     MstOptions mopt;
     mopt.source = make_source(opt);
-    mopt.stop_at_fragment_size = q.stop_at_fragment_size;
     mopt.trace = opt.trace;
     MstResult res = boruvka_mst(sim_, q.weights, mopt);
     r.charged_construction_rounds = res.charged_construction_rounds;
@@ -218,9 +217,7 @@ RunReport SolveHandle::solve(const ApproxSssp& q, const SolveOptions& opt) {
     sopt.source = make_source(opt);
     sopt.epsilon = q.epsilon;
     sopt.num_seeds = q.num_seeds;
-    sopt.bf_rounds_per_cycle = q.bf_rounds_per_cycle;
     sopt.repartition_growth = q.repartition_growth;
-    sopt.voronoi_hop_cap = q.voronoi_hop_cap;
     sopt.wavefront_seeds = q.wavefront_seeds;
     sopt.trace = opt.trace;
     // LDD provenance pins the cells themselves: one fixed clustering, never
@@ -318,7 +315,7 @@ constexpr CatalogueRow kCatalogue[] = {
      }},
     {"mst",
      [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
-       return h.solve(Mst{p.weights, p.stop_at_fragment_size}, o);
+       return h.solve(Mst{p.weights}, o);
      }},
     {"mst.ghs",
      [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
@@ -328,8 +325,7 @@ constexpr CatalogueRow kCatalogue[] = {
      [](SolveHandle& h, const WorkloadParams& p, const SolveOptions& o) {
        return h.solve(
            ApproxSssp{p.weights, p.source, p.epsilon, p.num_seeds,
-                      p.bf_rounds_per_cycle, p.repartition_growth,
-                      p.voronoi_hop_cap, p.wavefront_seeds},
+                      p.repartition_growth, p.wavefront_seeds},
            o);
      }},
     {"sssp.exact",

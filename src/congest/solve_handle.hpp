@@ -42,8 +42,6 @@ namespace mns::congest {
 /// Distributed MST (Boruvka over shortcut-backed aggregations).
 struct Mst {
   std::vector<Weight> weights;
-  /// Stop once every fragment has at least this many vertices; 0 = full MST.
-  VertexId stop_at_fragment_size = 0;
 };
 
 /// The O~(D + sqrt(n)) controlled-GHS MST baseline over the core tree.
@@ -70,9 +68,7 @@ struct ApproxSssp {
   VertexId source = 0;
   double epsilon = 0.25;
   VertexId num_seeds = 0;        ///< 0 = ceil(sqrt(n))
-  int bf_rounds_per_cycle = 8;
   double repartition_growth = 0.5;
-  int voronoi_hop_cap = 0;       ///< 0 = auto
   /// false = source-independent cells: identical partitions across a k-source
   /// batch, so the shared cache pays construction once (DESIGN.md §5, §10).
   bool wavefront_seeds = true;
@@ -229,14 +225,11 @@ struct SolveOptions {
 struct WorkloadParams {
   std::vector<Weight> weights;
   VertexId source = 0;  ///< SSSP source / BFS root
-  VertexId stop_at_fragment_size = 0;
   int num_trees = 8;
   bool two_respecting = false;
   double epsilon = 0.25;
   VertexId num_seeds = 0;
-  int bf_rounds_per_cycle = 8;
   double repartition_growth = 0.5;
-  int voronoi_hop_cap = 0;
   bool wavefront_seeds = true;
   std::uint64_t seed = 1;  ///< MIS priority seed
 };
@@ -263,7 +256,6 @@ class SolveHandle {
     return core_;
   }
   [[nodiscard]] const Graph& graph() const noexcept { return core_->graph(); }
-  [[nodiscard]] Simulator& simulator() noexcept { return sim_; }
 
   /// Installs a message transport on the round engine (non-owning; must
   /// outlive the handle or be detached with nullptr — DESIGN.md §11). Every

@@ -1,6 +1,7 @@
 #include "congest/solver_core.hpp"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "core/incremental.hpp"
@@ -19,6 +20,31 @@ CoreConfig with_defaults(CoreConfig config) {
   return config;
 }
 
+/// The tree factory is caller code, and the round engine sends along
+/// parent_edge() unchecked: the tree must span `g` and bind every non-root
+/// vertex to an edge joining it to its parent.
+void check_factory_tree(const Graph& g, const RootedTree& t) {
+  if (t.num_vertices() != g.num_vertices())
+    throw InvariantViolation(
+        "SolverCore: tree factory returned a tree on " +
+        std::to_string(t.num_vertices()) + " vertices for a graph on " +
+        std::to_string(g.num_vertices()));
+  for (VertexId v = 0; v < t.num_vertices(); ++v) {
+    if (v == t.root()) continue;
+    const EdgeId e = t.parent_edge(v);
+    const VertexId p = t.parent(v);
+    const bool joins =
+        e >= 0 && e < g.num_edges() &&
+        ((g.edge(e).u == v && g.edge(e).v == p) ||
+         (g.edge(e).v == v && g.edge(e).u == p));
+    if (!joins)
+      throw InvariantViolation(
+          "SolverCore: tree factory's parent edge of vertex " +
+          std::to_string(v) + " does not join it to its parent " +
+          std::to_string(p));
+  }
+}
+
 }  // namespace
 
 SolverCore::SolverCore(Graph g, StructuralCertificate certificate,
@@ -35,7 +61,11 @@ SolverCore::SolverCore(std::shared_ptr<const Graph> g,
 }
 
 const RootedTree& SolverCore::tree() const {
-  std::call_once(tree_once_, [&] { tree_.emplace(config_.tree(*g_)); });
+  std::call_once(tree_once_, [&] {
+    RootedTree t = config_.tree(*g_);
+    check_factory_tree(*g_, t);
+    tree_.emplace(std::move(t));
+  });
   return *tree_;
 }
 
@@ -101,8 +131,8 @@ std::size_t SolverCore::insert_locked(
 SolverCore::Acquired SolverCore::acquire(const Partition& parts,
                                          bool use_cache) const {
   if (use_cache) {
-    const std::uint64_t key = fingerprint(parts.num_parts(),
-                                          parts.part_of_all());
+    const std::uint64_t key =
+        partition_fingerprint(parts.num_parts(), parts.part_of_all());
     {
       std::shared_lock<std::shared_mutex> lock(cache_mutex_);
       auto idx = index_.find(key);
@@ -143,21 +173,11 @@ BuildResult SolverCore::analyze(const Partition& parts) const {
   // Seed the cache so a following solve over the same partition hits
   // (counter-neutral: analysis is not query traffic).
   auto span = parts.part_of_all();
-  const std::uint64_t key = fingerprint(parts.num_parts(), span);
+  const std::uint64_t key = partition_fingerprint(parts.num_parts(), span);
   std::unique_lock<std::shared_mutex> lock(cache_mutex_);
   (void)insert_locked(key, std::vector<PartId>(span.begin(), span.end()),
                       std::make_shared<const Shortcut>(out.shortcut));
   return out;
-}
-
-SolverCore::CacheStats SolverCore::cache_stats() const noexcept {
-  CacheStats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.entries = cache_size();
-  s.capacity = config_.cache_capacity;
-  return s;
 }
 
 UpdateHistory SolverCore::history() const noexcept {
@@ -169,12 +189,6 @@ UpdateHistory SolverCore::history() const noexcept {
 std::size_t SolverCore::cache_size() const noexcept {
   std::shared_lock<std::shared_mutex> lock(cache_mutex_);
   return entries_.size();
-}
-
-void SolverCore::clear_cache() const {
-  std::unique_lock<std::shared_mutex> lock(cache_mutex_);
-  entries_.clear();
-  index_.clear();
 }
 
 std::vector<io::CachedShortcut> SolverCore::export_cache() const {
@@ -200,7 +214,7 @@ void SolverCore::seed_cache(std::vector<PartId> part_of,
   PartId num_parts = 0;
   for (PartId p : part_of)
     if (p >= num_parts) num_parts = static_cast<PartId>(p + 1);
-  const std::uint64_t key = fingerprint(num_parts, part_of);
+  const std::uint64_t key = partition_fingerprint(num_parts, part_of);
   std::unique_lock<std::shared_mutex> lock(cache_mutex_);
   (void)insert_locked(key, std::move(part_of), std::move(shortcut));
 }

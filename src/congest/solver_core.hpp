@@ -90,9 +90,9 @@ class SolverCore {
   /// structural knowledge; every shortcut dispatches through it.
   explicit SolverCore(Graph g, StructuralCertificate certificate,
                       CoreConfig config = {});
-  /// Shares an existing network (used by Session::set_certificate /
-  /// set_tree_factory, which swap structural knowledge by building a NEW
-  /// core over the SAME graph so simulators keep their references).
+  /// Shares an existing network (used by Session::set_certificate, which
+  /// swaps structural knowledge by building a NEW core over the SAME graph
+  /// so simulators keep their references).
   SolverCore(std::shared_ptr<const Graph> g, StructuralCertificate certificate,
              CoreConfig config = {});
 
@@ -113,8 +113,8 @@ class SolverCore {
   /// preserved) so it stays a hit with zero construction charge. Dirty
   /// entries are dropped; nothing else is flushed. Weight-only batches must
   /// not come here (they need no new core — see Session::update). Call only
-  /// while no handle is mid-solve, like clear_cache. Throws UpdateError on
-  /// batches the structures cannot absorb.
+  /// while no handle is mid-solve. Throws UpdateError on batches the
+  /// structures cannot absorb.
   [[nodiscard]] std::shared_ptr<const SolverCore> update(
       const UpdateBatch& batch, UpdateStats& stats) const;
 
@@ -137,14 +137,16 @@ class SolverCore {
     return cert_;
   }
   /// The construction knobs this core runs with, defaults filled in. A
-  /// successor built from them (update(), Session::set_certificate and
-  /// set_tree_factory) keeps every knob, the LDD options included.
+  /// successor built from them (update(), Session::set_certificate) keeps
+  /// every knob, the LDD options included.
   [[nodiscard]] const CoreConfig& config() const noexcept { return config_; }
   [[nodiscard]] const ShortcutEngine& engine() const noexcept {
     return ShortcutEngine::global();
   }
   /// The core spanning tree, built on first use (std::call_once — safe to
-  /// race) and immutable afterwards.
+  /// race) and immutable afterwards. Throws InvariantViolation naming the
+  /// vertex if the factory's tree does not span the graph or a parent edge
+  /// does not join a vertex to its parent.
   [[nodiscard]] const RootedTree& tree() const;
   /// The core's low-diameter decomposition (core/ldd.hpp), built on first
   /// use (std::call_once) and immutable afterwards. Weight-independent: one
@@ -175,27 +177,19 @@ class SolverCore {
   [[nodiscard]] BuildResult analyze(const Partition& parts) const;
 
   // -- cache introspection (stats are atomics: const + noexcept) -----------
-  struct CacheStats {
-    long long hits = 0;    ///< acquires served from cache, core lifetime
-    long long misses = 0;  ///< acquires that built (cached or bypass)
-    long long evictions = 0;  ///< entries LRU-evicted under capacity pressure
-    std::size_t entries = 0;
-    std::size_t capacity = 0;
-  };
-  [[nodiscard]] CacheStats cache_stats() const noexcept;
   [[nodiscard]] std::size_t cache_size() const noexcept;
+  /// Acquires served from cache, core lifetime.
   [[nodiscard]] long long cache_hits() const noexcept {
     return hits_.load(std::memory_order_relaxed);
   }
+  /// Acquires that built (cached or bypass).
   [[nodiscard]] long long cache_misses() const noexcept {
     return misses_.load(std::memory_order_relaxed);
   }
+  /// Entries LRU-evicted under capacity pressure.
   [[nodiscard]] long long cache_evictions() const noexcept {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Drops every cached shortcut (counters are NOT reset). Not part of the
-  /// serving discipline — call only while no handle is mid-solve.
-  void clear_cache() const;
 
   // -- snapshot support ----------------------------------------------------
   /// Cached shortcuts, most-recently-used first (what Session::save writes).
@@ -213,7 +207,7 @@ class SolverCore {
 
  private:
   struct CacheEntry {
-    std::uint64_t key = 0;        ///< fingerprint(num_parts, part_of)
+    std::uint64_t key = 0;  ///< partition_fingerprint(num_parts, part_of)
     std::vector<PartId> part_of;  ///< exact guard against hash collisions
     std::shared_ptr<const Shortcut> shortcut;
     /// Global-use-clock stamp of the last hit/insert; eviction takes the
@@ -227,10 +221,6 @@ class SolverCore {
           last_use(use) {}
   };
 
-  [[nodiscard]] std::uint64_t fingerprint(
-      PartId num_parts, std::span<const PartId> part_of) const {
-    return partition_fingerprint(num_parts, part_of);
-  }
   [[nodiscard]] std::uint64_t next_use() const {
     return use_clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }

@@ -17,6 +17,10 @@ namespace {
 constexpr AggValue kNoValue{std::numeric_limits<std::int64_t>::max(),
                             std::numeric_limits<std::int32_t>::max()};
 
+/// Bellman-Ford rounds between consecutive cluster jumps: the floor of
+/// approx_sssp's adaptive burst budget.
+constexpr int kBfRoundsPerCycle = 8;
+
 /// Event-driven lock-step Bellman-Ford as a VertexProgram: frontier nodes
 /// re-broadcast their estimate to every neighbour but the one across
 /// via[v]; receivers relax (v-local writes only) and queue newly woken
@@ -207,8 +211,6 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
   const Graph& g = sim.graph();
   const VertexId n = g.num_vertices();
   require(static_cast<bool>(options.source), "approx_sssp: no shortcut source");
-  require(options.bf_rounds_per_cycle >= 1,
-          "approx_sssp: bf_rounds_per_cycle must be >= 1");
   require(source >= 0 && source < n, "approx_sssp: source out of range");
   require(static_cast<EdgeId>(w.size()) == g.num_edges(),
           "approx_sssp: weight size mismatch");
@@ -222,11 +224,11 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
           ? options.num_seeds
           : std::max<VertexId>(2, static_cast<VertexId>(std::ceil(
                                       std::sqrt(static_cast<double>(n)))));
+  // Voronoi growth stops at this hop depth (a few cell diameters),
+  // bounding the charged per-phase construction cost.
   const int hop_cap =
-      options.voronoi_hop_cap > 0
-          ? options.voronoi_hop_cap
-          : std::clamp(4 * (n / std::max<VertexId>(1, num_seeds)), VertexId{16},
-                       std::max<VertexId>(16, n));
+      std::clamp(4 * (n / std::max<VertexId>(1, num_seeds)), VertexId{16},
+                 std::max<VertexId>(16, n));
 
   SsspResult out;
   out.dist.assign(n, kUnreachedWeight);
@@ -445,14 +447,14 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
   // measured cost of the previous jump, so cheap shortcuts (small quality)
   // mean frequent jumps while expensive ones amortize over longer bursts —
   // the total can never exceed a small multiple of the plain-BF rounds.
-  int budget = options.bf_rounds_per_cycle;
+  int budget = kBfRoundsPerCycle;
   while (true) {
     if (need_repartition()) rebuild_partition();
     const bool bf_improved = bf_burst(budget);
     bool jump_improved = false;
     const long long jump_rounds = cluster_jump(&jump_improved);
     budget = std::max<int>(
-        options.bf_rounds_per_cycle,
+        kBfRoundsPerCycle,
         static_cast<int>(std::min<long long>(jump_rounds, 1 << 20)));
     if (!bf_improved && !jump_improved && frontier.empty()) break;
   }

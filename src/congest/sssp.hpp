@@ -83,14 +83,9 @@ struct ApproxSsspOptions {
   double epsilon = 0.25;
   /// Voronoi cells per phase; 0 = ceil(sqrt(n)).
   VertexId num_seeds = 0;
-  /// Bellman-Ford rounds between consecutive cluster jumps.
-  int bf_rounds_per_cycle = 8;
   /// Re-partition once this fraction of vertices joined the wavefront since
   /// the current partition was built (the scale-phase trigger).
   double repartition_growth = 0.5;
-  /// Voronoi growth stops at this hop depth (bounding the charged per-phase
-  /// construction cost); 0 = auto (a few cell diameters).
-  int voronoi_hop_cap = 0;
   /// true: cells are seeded from the current wavefront (adapts to the query;
   /// partitions differ per source). false: a deterministic stride spread
   /// that depends only on the network — the SAME partition for every source,
@@ -103,8 +98,7 @@ struct ApproxSsspOptions {
   /// center under the rounded weights (real path lengths, so estimates
   /// still never undershoot), and a fresh construction charges radius + 1
   /// rounds — once per core, since every run resolves to the same cached
-  /// shortcut. Overrides wavefront_seeds/num_seeds/voronoi_hop_cap. Must
-  /// outlive the call.
+  /// shortcut. Overrides wavefront_seeds/num_seeds. Must outlive the call.
   const LddDecomposition* fixed_cells = nullptr;
   /// Optional per-scale-phase telemetry (stage = "scale-phase").
   RoundTraceHook trace;

@@ -52,9 +52,8 @@ LddDecomposition ldd_decompose(const Graph& g, const LddOptions& options) {
           "ldd_decompose: beta must be in (0, 1)");
   const VertexId n = g.num_vertices();
   require(n > 0, "ldd_decompose: empty graph");
-  const int cap = options.delay_cap > 0
-                      ? options.delay_cap
-                      : 2 * delay_scale(n, options.beta) + 8;
+  // Hard cap on the start delays, and thus on the cluster hop radius.
+  const int cap = 2 * delay_scale(n, options.beta) + 8;
   const auto threshold =
       static_cast<std::uint64_t>(options.beta * 4294967296.0);  // beta * 2^32
   // Per MPX, LARGE delays start growing first: vertex v activates as a ball

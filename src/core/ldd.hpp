@@ -37,9 +37,6 @@ struct LddOptions {
   double beta = 0.25;
   /// Seeds the per-vertex delay hashes; same seed = same decomposition.
   std::uint64_t seed = 1;
-  /// Hard cap on the start delays (and thus the cluster hop radius);
-  /// 0 = auto, about 4 ln(n) / beta.
-  int delay_cap = 0;
 };
 
 /// One decomposition: a total partition into connected clusters plus the

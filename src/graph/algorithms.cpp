@@ -203,16 +203,6 @@ int diameter_exact(const Graph& g) {
   return best;
 }
 
-int diameter_double_sweep(const Graph& g, Rng& rng) {
-  if (g.num_vertices() == 0) return 0;
-  std::uniform_int_distribution<VertexId> pick(0, g.num_vertices() - 1);
-  BfsResult first = bfs(g, pick(rng));
-  VertexId far = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    if (first.dist[v] != kUnreached && first.dist[v] > first.dist[far]) far = v;
-  return eccentricity(g, far);
-}
-
 VertexId approximate_center(const Graph& g, Rng& rng) {
   if (g.num_vertices() == 0)
     throw std::invalid_argument("approximate_center: empty graph");
@@ -271,19 +261,6 @@ InducedSubgraph induced_subgraph(const Graph& g,
   });
   s.edge_to_parent = std::move(kept);
   return s;
-}
-
-DegreeStats degree_stats(const Graph& g) {
-  DegreeStats d;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    d.total += static_cast<std::size_t>(g.degree(v));
-    d.max = std::max(d.max, g.degree(v));
-  }
-  d.average =
-      g.num_vertices() == 0
-          ? 0.0
-          : static_cast<double>(d.total) / static_cast<double>(g.num_vertices());
-  return d;
 }
 
 }  // namespace mns

@@ -93,9 +93,6 @@ struct Components {
 /// Exact diameter via all-pairs BFS. O(n·m) — for tests and small graphs.
 [[nodiscard]] int diameter_exact(const Graph& g);
 
-/// Double-sweep lower bound on the diameter (exact on trees). O(m).
-[[nodiscard]] int diameter_double_sweep(const Graph& g, Rng& rng);
-
 /// A vertex of (approximately) minimum eccentricity found by double sweep +
 /// midpoint; used to root BFS spanning trees with height close to D/2..D.
 [[nodiscard]] VertexId approximate_center(const Graph& g, Rng& rng);
@@ -112,13 +109,5 @@ struct InducedSubgraph {
 };
 [[nodiscard]] InducedSubgraph induced_subgraph(
     const Graph& g, std::span<const VertexId> vertices);
-
-/// Sum of degrees, max degree.
-struct DegreeStats {
-  std::size_t total = 0;
-  int max = 0;
-  double average = 0.0;
-};
-[[nodiscard]] DegreeStats degree_stats(const Graph& g);
 
 }  // namespace mns

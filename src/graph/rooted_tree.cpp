@@ -53,7 +53,7 @@ void RootedTree::build_structures() {
       if (v != root_) children_flat_[cur[parent_[v]]++] = v;
   }
 
-  // Iterative preorder, depth, subtree sizes; also validates tree-ness.
+  // Iterative preorder and depth; also validates tree-ness.
   depth_.assign(n, -1);
   preorder_.clear();
   preorder_.reserve(n);
@@ -74,20 +74,18 @@ void RootedTree::build_structures() {
     throw std::invalid_argument("RootedTree: parent array is disconnected");
   height_ = *std::max_element(depth_.begin(), depth_.end());
 
-  subtree_size_.assign(n, 1);
+  // Euler intervals: tin = preorder position; tout = tin + subtree size - 1
+  // works for preorder numbering within subtrees.
+  std::vector<VertexId> size(static_cast<std::size_t>(n), 1);
   for (auto it = preorder_.rbegin(); it != preorder_.rend(); ++it)
-    if (*it != root_) subtree_size_[parent_[*it]] += subtree_size_[*it];
-
-  // Euler intervals.
+    if (*it != root_) size[parent_[*it]] += size[*it];
   tin_.assign(n, 0);
   tout_.assign(n, 0);
   {
     int timer = 0;
-    // tin = preorder position; tout = tin + subtree_size - 1 works for
-    // preorder numbering within subtrees.
     for (VertexId v : preorder_) tin_[v] = timer++;
     for (VertexId v = 0; v < n; ++v)
-      tout_[v] = tin_[v] + subtree_size_[v] - 1;
+      tout_[v] = tin_[v] + size[v] - 1;
   }
 
   // Binary lifting.
@@ -98,20 +96,6 @@ void RootedTree::build_structures() {
     up_[0][v] = (v == root_) ? root_ : parent_[v];
   for (int k = 1; k < levels; ++k)
     for (VertexId v = 0; v < n; ++v) up_[k][v] = up_[k - 1][up_[k - 1][v]];
-
-  // Heavy-light chains: heavy child = child with max subtree size.
-  chain_head_.assign(n, kInvalidVertex);
-  for (VertexId v : preorder_) {
-    if (chain_head_[v] == kInvalidVertex) chain_head_[v] = v;
-    VertexId heavy = kInvalidVertex;
-    VertexId best = 0;
-    for (VertexId c : children(v))
-      if (subtree_size_[c] > best) {
-        best = subtree_size_[c];
-        heavy = c;
-      }
-    if (heavy != kInvalidVertex) chain_head_[heavy] = chain_head_[v];
-  }
 }
 
 VertexId RootedTree::lca(VertexId u, VertexId v) const {
@@ -128,27 +112,6 @@ VertexId RootedTree::kth_ancestor(VertexId v, int k) const {
   for (int bit = 0; k > 0; ++bit, k >>= 1)
     if (k & 1) v = up_[bit][v];
   return v;
-}
-
-std::vector<EdgeId> RootedTree::path_edges(VertexId u, VertexId v) const {
-  std::vector<EdgeId> out;
-  VertexId a = lca(u, v);
-  for (VertexId x = u; x != a; x = parent_[x]) out.push_back(parent_edge_[x]);
-  std::vector<EdgeId> down;
-  for (VertexId x = v; x != a; x = parent_[x]) down.push_back(parent_edge_[x]);
-  out.insert(out.end(), down.rbegin(), down.rend());
-  return out;
-}
-
-std::vector<VertexId> RootedTree::path_vertices(VertexId u, VertexId v) const {
-  std::vector<VertexId> out;
-  VertexId a = lca(u, v);
-  for (VertexId x = u; x != a; x = parent_[x]) out.push_back(x);
-  out.push_back(a);
-  std::vector<VertexId> down;
-  for (VertexId x = v; x != a; x = parent_[x]) down.push_back(x);
-  out.insert(out.end(), down.rbegin(), down.rend());
-  return out;
 }
 
 }  // namespace mns

@@ -1,4 +1,4 @@
-// Rooted spanning trees with LCA, ancestor queries, and heavy-light chains.
+// Rooted spanning trees with LCA and ancestor queries.
 //
 // The shortcut framework (Definitions 10-13) measures everything against a
 // rooted spanning tree T of the network; this class is that tree. It is built
@@ -39,9 +39,6 @@ class RootedTree {
     return {children_flat_.data() + child_offset_[v],
             children_flat_.data() + child_offset_[v + 1]};
   }
-  [[nodiscard]] VertexId subtree_size(VertexId v) const {
-    return subtree_size_[v];
-  }
   /// Vertices in preorder (root first; children after parents).
   [[nodiscard]] const std::vector<VertexId>& preorder() const noexcept {
     return preorder_;
@@ -54,18 +51,6 @@ class RootedTree {
   /// Ancestor of v that is k levels up (k <= depth(v)).
   [[nodiscard]] VertexId kth_ancestor(VertexId v, int k) const;
 
-  /// Heavy-light decomposition: head of the chain containing v. Two vertices
-  /// are on the same chain iff they share a head. Any root-to-leaf path meets
-  /// O(log n) chains (Theorem 7's folding step relies on this).
-  [[nodiscard]] VertexId chain_head(VertexId v) const { return chain_head_[v]; }
-
-  /// Edge ids on the tree path from u to v (requires parent_edge bindings).
-  [[nodiscard]] std::vector<EdgeId> path_edges(VertexId u, VertexId v) const;
-
-  /// Vertices on the tree path from u to v inclusive.
-  [[nodiscard]] std::vector<VertexId> path_vertices(VertexId u,
-                                                    VertexId v) const;
-
  private:
   void build_structures();
 
@@ -75,12 +60,10 @@ class RootedTree {
   std::vector<int> depth_;
   int height_ = 0;
   std::vector<VertexId> preorder_;
-  std::vector<VertexId> subtree_size_;
   std::vector<std::size_t> child_offset_;
   std::vector<VertexId> children_flat_;
   std::vector<int> tin_, tout_;
   std::vector<std::vector<VertexId>> up_;  // binary lifting table
-  std::vector<VertexId> chain_head_;
 };
 
 }  // namespace mns

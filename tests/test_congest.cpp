@@ -59,14 +59,6 @@ TEST(Simulator, RejectsSendFromNonEndpoint) {
   EXPECT_THROW(sim.send(2, e, Message{}), std::invalid_argument);
 }
 
-TEST(Simulator, SkipRoundsAccountsIdleTime) {
-  Graph g = gen::path(2);
-  Simulator sim(g);
-  sim.skip_rounds(7);
-  EXPECT_EQ(sim.rounds(), 7);
-  EXPECT_THROW(sim.skip_rounds(-1), std::invalid_argument);
-}
-
 TEST(Simulator, DeliversToInboxNextRound) {
   Graph g = gen::path(2);
   Simulator sim(g);
@@ -89,9 +81,7 @@ TEST(DistributedBfs, RoundsTrackEccentricity) {
   EXPECT_EQ(r.bfs().dist, ref.dist);
   EXPECT_LE(r.rounds, ref.max_distance() + 1);
   EXPECT_GE(r.rounds, ref.max_distance());
-  congest::DistributedBfsResult raw{r.bfs().dist, r.bfs().parent,
-                                    r.bfs().parent_edge, r.rounds};
-  RootedTree t = congest::tree_from_distributed_bfs(raw, 0);
+  RootedTree t(0, r.bfs().parent, r.bfs().parent_edge);
   EXPECT_EQ(t.height(), ref.max_distance());
 }
 
@@ -251,21 +241,21 @@ TEST(Mst, StopAtFragmentSizeHaltsEarly) {
   Rng rng(21);
   Graph g = gen::grid(10, 10).graph();
   std::vector<Weight> w = gen::unique_random_weights(g, rng);
-  Session s = greedy_session(g);
-  congest::SolveOptions flooding;
-  flooding.use_shortcuts = false;
-  RunReport res = s.solve(congest::Mst{w, /*stop_at_fragment_size=*/10},
-                          flooding);
+  Simulator sim(g);
+  congest::MstOptions opt;
+  opt.source = congest::empty_shortcut_source();  // flooding
+  opt.stop_at_fragment_size = 10;
+  congest::MstResult res = congest::boruvka_mst(sim, w, opt);
   // Not a full MST; every fragment has >= 10 vertices and the chosen edges
   // are a subset of the true MST.
-  std::vector<PartId> frag = res.mst().fragment_of;
+  std::vector<PartId> frag = res.fragment_of;
   std::vector<int> size(*std::max_element(frag.begin(), frag.end()) + 1, 0);
   for (PartId p : frag) ++size[p];
   for (int s : size) EXPECT_GE(s, 10);
   std::vector<EdgeId> full = congest::kruskal_mst(g, w);
   std::set<EdgeId> full_set(full.begin(), full.end());
-  for (EdgeId e : res.mst().edges) EXPECT_TRUE(full_set.count(e));
-  EXPECT_LT(res.mst().edges.size(), full.size());
+  for (EdgeId e : res.edges) EXPECT_TRUE(full_set.count(e));
+  EXPECT_LT(res.edges.size(), full.size());
 }
 
 TEST(ControlledGhs, MatchesKruskal) {

@@ -232,24 +232,6 @@ TEST(Diameter, EccentricityThrowsOnDisconnected) {
   EXPECT_THROW((void)eccentricity(b.build(), 0), std::invalid_argument);
 }
 
-TEST(Diameter, DoubleSweepExactOnTrees) {
-  // A star of paths (spider): double sweep is exact on trees.
-  GraphBuilder b(10);
-  // Legs from center 0: 1-2-3, 4-5, 6-7-8-9.
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(2, 3);
-  b.add_edge(0, 4);
-  b.add_edge(4, 5);
-  b.add_edge(0, 6);
-  b.add_edge(6, 7);
-  b.add_edge(7, 8);
-  b.add_edge(8, 9);
-  Graph g = b.build();
-  Rng rng(123);
-  EXPECT_EQ(diameter_double_sweep(g, rng), diameter_exact(g));
-}
-
 TEST(Diameter, ApproximateCenterHasLowEccentricity) {
   Graph g = path_graph(101);
   Rng rng(7);
@@ -283,14 +265,6 @@ TEST(InducedSubgraph, DeduplicatesInput) {
   InducedSubgraph s = induced_subgraph(g, verts);
   EXPECT_EQ(s.graph.num_vertices(), 2);
   EXPECT_EQ(s.graph.num_edges(), 1);
-}
-
-TEST(DegreeStats, Computes) {
-  Graph g = path_graph(4);
-  DegreeStats d = degree_stats(g);
-  EXPECT_EQ(d.total, 6u);
-  EXPECT_EQ(d.max, 2);
-  EXPECT_DOUBLE_EQ(d.average, 1.5);
 }
 
 TEST(UnionFind, BasicMerging) {

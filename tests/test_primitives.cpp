@@ -1,6 +1,8 @@
-// Tests for the O(D) CONGEST primitives: broadcast, convergecast, leader
-// election — correctness and round counts on trees, grids, and wheels.
+// Tests for the O(D) CONGEST primitives: convergecast_sum — correctness and
+// round counts on grids, planar triangulations and a single vertex.
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "congest/primitives.hpp"
 #include "congest/simulator.hpp"
@@ -17,37 +19,31 @@ RootedTree bfs_tree(const Graph& g, VertexId root) {
   return RootedTree::from_bfs(bfs(g, root), root);
 }
 
-TEST(Broadcast, ReachesEveryoneInHeightRounds) {
-  Graph g = gen::grid(6, 9).graph();
-  RootedTree t = bfs_tree(g, 0);
-  Simulator sim(g);
-  congest::BroadcastResult r = congest::broadcast(sim, t, 777);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    EXPECT_EQ(r.received[v], 777);
-  EXPECT_GE(r.rounds, t.height());
-  EXPECT_LE(r.rounds, t.height() + 1);
-}
-
-TEST(Broadcast, SingleVertexTree) {
-  Graph g = GraphBuilder(1).build();
-  RootedTree t(0, {kInvalidVertex});
-  Simulator sim(g);
-  congest::BroadcastResult r = congest::broadcast(sim, t, 5);
-  EXPECT_EQ(r.received[0], 5);
-  EXPECT_EQ(r.rounds, 0);
-}
-
-TEST(Convergecast, MinArrivesAtRoot) {
+TEST(Convergecast, SumArrivesAtRootInHeightRounds) {
   Graph g = gen::grid(7, 7).graph();
   RootedTree t = bfs_tree(g, 24);  // center-ish root
   std::vector<std::int64_t> values(g.num_vertices());
   for (VertexId v = 0; v < g.num_vertices(); ++v) values[v] = 1000 + v * 3;
   values[13] = -42;
   Simulator sim(g);
-  congest::ConvergecastResult r = congest::convergecast_min(sim, t, values);
-  EXPECT_EQ(r.min_at_root, -42);
-  EXPECT_GE(r.rounds, t.height());
-  EXPECT_LE(r.rounds, t.height() + 1);
+  congest::ConvergecastSumResult r = congest::convergecast_sum(sim, t, values);
+  EXPECT_EQ(r.sum_at_root,
+            std::accumulate(values.begin(), values.end(), std::int64_t{0}));
+  // Leaves report in round 1, and a node one round after its deepest child:
+  // the root hears its last child in round height().
+  EXPECT_EQ(r.rounds, t.height());
+  EXPECT_EQ(sim.rounds(), t.height());
+  // One report per non-root vertex.
+  EXPECT_EQ(sim.messages_sent(), g.num_vertices() - 1);
+}
+
+TEST(Convergecast, SingleVertexTree) {
+  Graph g = GraphBuilder(1).build();
+  RootedTree t(0, {kInvalidVertex});
+  Simulator sim(g);
+  congest::ConvergecastSumResult r = congest::convergecast_sum(sim, t, {5});
+  EXPECT_EQ(r.sum_at_root, 5);
+  EXPECT_EQ(r.rounds, 0);
 }
 
 TEST(Convergecast, RejectsSizeMismatch) {
@@ -55,66 +51,27 @@ TEST(Convergecast, RejectsSizeMismatch) {
   RootedTree t = bfs_tree(g, 0);
   Simulator sim(g);
   std::vector<std::int64_t> too_short{1, 2};
-  EXPECT_THROW((void)congest::convergecast_min(sim, t, too_short),
+  EXPECT_THROW((void)congest::convergecast_sum(sim, t, too_short),
                InvariantViolation);
-}
-
-TEST(LeaderElection, FindsMinIdInDiameterRounds) {
-  Graph g = gen::wheel(50);
-  Simulator sim(g);
-  congest::LeaderResult r = congest::elect_leader(sim);
-  EXPECT_EQ(r.leader, 0);
-  // Wheel diameter 2: flooding settles in ~3 rounds.
-  EXPECT_LE(r.rounds, 4);
-}
-
-TEST(LeaderElection, PathTakesLinearRounds) {
-  Graph g = gen::path(30);
-  Simulator sim(g);
-  congest::LeaderResult r = congest::elect_leader(sim);
-  EXPECT_EQ(r.leader, 0);
-  EXPECT_GE(r.rounds, 29);
-}
-
-TEST(DiameterEstimate, WithinFactorTwoOnGrid) {
-  Graph g = gen::grid(9, 13).graph();
-  int true_d = diameter_exact(g);
-  congest::Simulator sim(g);
-  congest::DiameterEstimate est = congest::estimate_diameter(sim, 0);
-  EXPECT_LE(est.estimate, true_d);
-  EXPECT_GE(2 * est.estimate, true_d);
-  EXPECT_LE(est.rounds, 2 * (true_d + 2));  // two BFS floods
-}
-
-TEST(DiameterEstimate, ExactOnTrees) {
-  Rng rng(3);
-  Graph g = gen::random_tree(60, rng);
-  congest::Simulator sim(g);
-  congest::DiameterEstimate est = congest::estimate_diameter(sim, 0);
-  EXPECT_EQ(est.estimate, diameter_exact(g));  // double sweep exact on trees
 }
 
 class PrimitiveSweep : public ::testing::TestWithParam<int> {};
 
-TEST_P(PrimitiveSweep, BroadcastConvergecastRoundTrip) {
+TEST_P(PrimitiveSweep, ConvergecastSumMatchesSequentialSum) {
   Rng rng(GetParam());
   EmbeddedGraph eg = gen::random_maximal_planar(150, rng);
   const Graph& g = eg.graph();
   RootedTree t = bfs_tree(g, 0);
   Simulator sim(g);
   std::vector<std::int64_t> values(g.num_vertices());
-  std::int64_t expect = std::numeric_limits<std::int64_t>::max();
+  std::int64_t expect = 0;
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
     values[v] = static_cast<std::int64_t>((v * 2654435761u) % 100003);
-    expect = std::min(expect, values[v]);
+    expect += values[v];
   }
-  auto up = congest::convergecast_min(sim, t, values);
-  EXPECT_EQ(up.min_at_root, expect);
-  auto down = congest::broadcast(sim, t, up.min_at_root);
-  for (VertexId v = 0; v < g.num_vertices(); ++v)
-    EXPECT_EQ(down.received[v], expect);
-  // Round trip costs ~2 * height.
-  EXPECT_LE(up.rounds + down.rounds, 2 * (t.height() + 1));
+  auto up = congest::convergecast_sum(sim, t, values);
+  EXPECT_EQ(up.sum_at_root, expect);
+  EXPECT_EQ(up.rounds, t.height());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrimitiveSweep, ::testing::Values(2, 6, 10));

@@ -1,4 +1,4 @@
-// Tests for RootedTree: construction, LCA, ancestors, heavy-light chains.
+// Tests for RootedTree: construction, LCA, ancestors.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,10 +30,16 @@ TEST(RootedTree, ChildrenAndSubtreeSizes) {
   auto kids = t.children(1);
   EXPECT_EQ(std::vector<VertexId>(kids.begin(), kids.end()),
             (std::vector<VertexId>{3, 4}));
-  EXPECT_EQ(t.subtree_size(0), 9);
-  EXPECT_EQ(t.subtree_size(1), 4);
-  EXPECT_EQ(t.subtree_size(5), 3);
-  EXPECT_EQ(t.subtree_size(6), 1);
+  // Subtree sizes, read off the Euler intervals they build.
+  auto size_below = [&](VertexId a) {
+    int size = 0;
+    for (VertexId v = 0; v < t.num_vertices(); ++v) size += t.is_ancestor(a, v);
+    return size;
+  };
+  EXPECT_EQ(size_below(0), 9);
+  EXPECT_EQ(size_below(1), 4);
+  EXPECT_EQ(size_below(5), 3);
+  EXPECT_EQ(size_below(6), 1);
 }
 
 TEST(RootedTree, PreorderParentsFirst) {
@@ -73,19 +79,6 @@ TEST(RootedTree, KthAncestor) {
   EXPECT_THROW((void)t.kth_ancestor(6, 4), std::invalid_argument);
 }
 
-TEST(RootedTree, HeavyChainsCoverRootPathsInLogChains) {
-  RootedTree t = sample_tree();
-  // Chain heads partition vertices; head of root's chain is root.
-  EXPECT_EQ(t.chain_head(0), 0);
-  // The heavy child of 0 is 1 (subtree 4 > subtree 3 of vertex 2).
-  EXPECT_EQ(t.chain_head(1), 0);
-  // Heavy path continues into 3 (subtree 2 > subtree 1 of vertex 4).
-  EXPECT_EQ(t.chain_head(3), 0);
-  EXPECT_EQ(t.chain_head(6), 0);
-  // Vertex 2 starts its own chain.
-  EXPECT_EQ(t.chain_head(2), 2);
-}
-
 TEST(RootedTree, RejectsBadInput) {
   // Cycle.
   std::vector<VertexId> cyc{kInvalidVertex, 2, 1};
@@ -122,41 +115,11 @@ TEST(RootedTree, FromBfsRejectsUnreached) {
   EXPECT_THROW(RootedTree::from_bfs(r, 0), std::invalid_argument);
 }
 
-TEST(RootedTree, PathEdgesAndVertices) {
-  GraphBuilder b(6);
-  b.add_edge(0, 1);
-  b.add_edge(1, 2);
-  b.add_edge(1, 3);
-  b.add_edge(3, 4);
-  b.add_edge(0, 5);
-  Graph g = b.build();
-  RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
-
-  std::vector<VertexId> pv = t.path_vertices(2, 4);
-  EXPECT_EQ(pv.front(), 2);
-  EXPECT_EQ(pv.back(), 4);
-  ASSERT_EQ(pv.size(), 4u);
-  EXPECT_EQ(pv[1], 1);  // through the LCA
-
-  std::vector<EdgeId> pe = t.path_edges(2, 4);
-  EXPECT_EQ(pe.size(), 3u);
-  // Consecutive path edges share endpoints (form a walk 2..4).
-  EXPECT_EQ(pe.size() + 1, pv.size());
-  for (std::size_t i = 0; i < pe.size(); ++i) {
-    const Edge& e = g.edge(pe[i]);
-    EXPECT_TRUE((e.u == pv[i] && e.v == pv[i + 1]) ||
-                (e.v == pv[i] && e.u == pv[i + 1]));
-  }
-
-  EXPECT_EQ(t.path_edges(5, 5).size(), 0u);
-  EXPECT_EQ(t.path_vertices(5, 5), std::vector<VertexId>{5});
-}
-
 // Property sweep: LCA via binary lifting agrees with the naive walk-up LCA
-// on random BFS trees, and chain counts along root paths are logarithmic.
+// on random BFS trees.
 class TreePropertyTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(TreePropertyTest, LcaMatchesNaiveAndChainsAreFew) {
+TEST_P(TreePropertyTest, LcaMatchesNaive) {
   Rng rng(GetParam());
   const VertexId n = 300;
   GraphBuilder b(n);
@@ -181,18 +144,6 @@ TEST_P(TreePropertyTest, LcaMatchesNaiveAndChainsAreFew) {
   for (int i = 0; i < 200; ++i) {
     VertexId u = pick(rng), v = pick(rng);
     EXPECT_EQ(t.lca(u, v), naive_lca(u, v));
-  }
-
-  // Heavy-light: number of chain changes on any root path is <= log2(n)+1.
-  for (int i = 0; i < 50; ++i) {
-    VertexId v = pick(rng);
-    int changes = 0;
-    while (v != t.root()) {
-      VertexId head = t.chain_head(v);
-      if (head != t.root() || t.chain_head(t.root()) != head) ++changes;
-      v = (head == v) ? t.parent(v) : head;
-    }
-    EXPECT_LE(changes, 10);  // log2(300) ~ 8.2, +1 slack
   }
 }
 

@@ -5,8 +5,8 @@
 //     direct-send path, on the staged path at width 8, and on the batch
 //     delivery form at width 1;
 //   * a warm PartwiseAggregator allocates only its result;
-//   * error paths validate before any buffer write: a throwing stage_send /
-//     skip_rounds leaves every staged and pending send as it was.
+//   * error paths validate before any buffer write: a throwing stage_send
+//     leaves every staged and pending send as it was.
 //
 // This file replaces the global operator new (plain and aligned forms) with
 // a counting one, so every heap allocation in the process is seen, whoever
@@ -238,18 +238,6 @@ TEST(RoundAllocations, ThrowingStageSendStagesNothing) {
   EXPECT_EQ(sim.messages_sent(), 1);
   ASSERT_EQ(sim.inbox(1).size(), 1u);
   EXPECT_EQ(sim.inbox(1)[0].msg.value, 42);
-}
-
-TEST(RoundAllocations, ThrowingSkipRoundsLeavesStateUntouched) {
-  Graph g = gen::path(2);
-  Simulator sim(g);
-  sim.send(0, 0, Message{0, 0, 5});  // pending state that must survive
-  EXPECT_THROW(sim.skip_rounds(-1), std::invalid_argument);
-  EXPECT_EQ(sim.rounds(), 0);
-  sim.finish_round();  // the pending send was not disturbed
-  EXPECT_EQ(sim.rounds(), 1);
-  ASSERT_EQ(sim.inbox(1).size(), 1u);
-  EXPECT_EQ(sim.inbox(1)[0].msg.value, 5);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Session contract tests: the uniform solve surface, the workload catalogue,
 // and above all the shortcut-cache semantics — hits on identical partition
-// fingerprints, invalidation on repartition / certificate change / tree
-// change, LRU eviction, and bit-identical results (edges / dist / cut value
-// / measured rounds) between cached and cold runs on every generator
-// family. Construction charging is the ONLY thing allowed to differ between
-// warm and cold (charged once per distinct partition, DESIGN.md §2, §5).
+// fingerprints, invalidation on repartition / certificate change, LRU
+// eviction, and bit-identical results (edges / dist / cut value / measured
+// rounds) between cached and cold runs on every generator family.
+// Construction charging is the ONLY thing allowed to differ between warm
+// and cold (charged once per distinct partition, DESIGN.md §2, §5).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -89,24 +89,11 @@ TEST(SessionCache, InvalidationOnCertificateChange) {
   EXPECT_EQ(after.cache_misses, 1);
 }
 
-TEST(SessionCache, InvalidationOnTreeFactoryChange) {
-  Graph g = gen::grid(8, 8).graph();
-  Rng rng(11);
-  Partition parts = voronoi_partition(g, 4, rng);
-  Session s(g);
-  (void)s.solve(congest::Aggregate{parts, ramp_values(64)});
-  s.set_tree_factory(
-      [](const Graph& gg) { return RootedTree::from_bfs(bfs(gg, 0), 0); });
-  RunReport after = s.solve(congest::Aggregate{parts, ramp_values(64)});
-  EXPECT_EQ(after.cache_hits, 0);
-  EXPECT_EQ(after.cache_misses, 1);
-}
-
 TEST(SessionCache, CoreSwapsKeepTheConfiguredKnobs) {
-  // set_certificate / set_tree_factory build a successor core over the same
-  // graph. It must keep the LDD options and cache capacity the session was
-  // configured with, or `--partition ldd` solves silently switch to a
-  // different clustering.
+  // set_certificate builds a successor core over the same graph. It must
+  // keep the LDD options and cache capacity the session was configured
+  // with, or `--partition ldd` solves silently switch to a different
+  // clustering.
   Graph g = gen::grid(8, 8).graph();
   congest::SessionConfig cfg;
   cfg.cache_capacity = 3;
@@ -123,11 +110,39 @@ TEST(SessionCache, CoreSwapsKeepTheConfiguredKnobs) {
 
   s.set_certificate(steiner_certificate());
   EXPECT_EQ(clusters(), configured);
-  EXPECT_EQ(s.core_ptr()->cache_stats().capacity, 3u);
-  s.set_tree_factory(
-      [](const Graph& gg) { return RootedTree::from_bfs(bfs(gg, 0), 0); });
-  EXPECT_EQ(clusters(), configured);
-  EXPECT_EQ(s.core_ptr()->cache_stats().capacity, 3u);
+  EXPECT_EQ(s.core_ptr()->config().cache_capacity, 3u);
+}
+
+TEST(SessionCache, TreeFactoryOutputIsValidated) {
+  // The round engine sends along the core tree's parent edges unchecked, so
+  // the core refuses a factory tree that is not bound to the graph's edges
+  // or does not span the graph, naming the vertex.
+  Graph g = gen::grid(6, 6).graph();
+  Rng rng(3);
+  const std::vector<Weight> w = gen::unique_random_weights(g, rng);
+  congest::SessionConfig unbound;
+  unbound.tree = [](const Graph& gg) {
+    return RootedTree(0, bfs(gg, 0).parent);  // no parent edges
+  };
+  Session s(g, greedy_certificate(), std::move(unbound));
+  EXPECT_THROW((void)s.solve(congest::DominatingSet{}), InvariantViolation);
+  EXPECT_THROW((void)s.solve(congest::GhsMst{w}), InvariantViolation);
+  EXPECT_THROW((void)s.solve(congest::Mst{w}), InvariantViolation);
+  try {
+    (void)s.tree();
+    ADD_FAILURE() << "an unbound tree was installed";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find("vertex 1 "), std::string::npos)
+        << e.what();
+  }
+
+  congest::SessionConfig small;
+  small.tree = [](const Graph&) {
+    return RootedTree(0, {kInvalidVertex, 0, 0, 0});
+  };
+  Session t(g, greedy_certificate(), std::move(small));
+  EXPECT_THROW((void)t.solve(congest::Mst{w}), InvariantViolation);
+  EXPECT_THROW((void)t.tree(), InvariantViolation);
 }
 
 TEST(SessionCache, LruEvictsLeastRecentlyUsed) {
@@ -340,14 +355,11 @@ TEST(SessionRegistry, BuiltinsMirrorTypedSolves) {
   congest::WorkloadParams p;
   p.weights = gen::unique_random_weights(g, rng);
   p.source = 3;
-  p.stop_at_fragment_size = 4;
   p.num_trees = 3;
   p.two_respecting = true;
   p.epsilon = 0.5;
   p.num_seeds = 4;
-  p.bf_rounds_per_cycle = 3;
   p.repartition_growth = 1.0;
-  p.voronoi_hop_cap = 2;
   p.wavefront_seeds = false;
   p.seed = 7;
   const std::map<std::string, std::function<RunReport(Session&)>> typed = {
@@ -362,16 +374,15 @@ TEST(SessionRegistry, BuiltinsMirrorTypedSolves) {
       {"mis", [&](Session& s) { return s.solve(congest::Mis{p.seed}); }},
       {"mst",
        [&](Session& s) {
-         return s.solve(congest::Mst{p.weights, p.stop_at_fragment_size});
+         return s.solve(congest::Mst{p.weights});
        }},
       {"mst.ghs",
        [&](Session& s) { return s.solve(congest::GhsMst{p.weights}); }},
       {"sssp.approx",
        [&](Session& s) {
-         return s.solve(congest::ApproxSssp{
-             p.weights, p.source, p.epsilon, p.num_seeds,
-             p.bf_rounds_per_cycle, p.repartition_growth, p.voronoi_hop_cap,
-             p.wavefront_seeds});
+         return s.solve(congest::ApproxSssp{p.weights, p.source, p.epsilon,
+                                            p.num_seeds, p.repartition_growth,
+                                            p.wavefront_seeds});
        }},
       {"sssp.exact",
        [&](Session& s) {
@@ -407,11 +418,11 @@ TEST(SessionCache, AggregateRejectsAPartitionOfAnotherSize) {
   // keeps answering well-formed requests.
   Graph g = gen::grid(8, 8).graph();
   Session s(g);
-  const std::size_t entries = s.core_ptr()->cache_stats().entries;
+  const std::size_t entries = s.cache_size();
   EXPECT_THROW((void)s.solve(congest::Aggregate{
                    Partition(std::vector<PartId>(10, 0)), ramp_values(64)}),
                InvariantViolation);
-  EXPECT_EQ(s.core_ptr()->cache_stats().entries, entries);
+  EXPECT_EQ(s.cache_size(), entries);
   Rng rng(5);
   Partition parts = voronoi_partition(g, 5, rng);
   RunReport ok = s.solve(congest::Aggregate{parts, ramp_values(64)});
@@ -455,7 +466,7 @@ TEST(SessionCache, EvictionCounterSurfacesChurnPressure) {
   RunReport third = s.solve(congest::Aggregate{c, ramp_values(64)});
   EXPECT_EQ(third.cache_evictions, 1);  // this run's insert pushed `a` out
   EXPECT_EQ(s.cache_evictions(), 1);
-  EXPECT_EQ(s.core_ptr()->cache_stats().evictions, 1);
+  EXPECT_EQ(s.core_ptr()->cache_evictions(), 1);
   // The counter is part of the canonical report JSON (mnsctl solve output,
   // baseline diffs).
   EXPECT_NE(io::run_report_to_json(third).find("\"cache_evictions\": 1"),

@@ -1,5 +1,5 @@
 // Contract tests for the rewritten CONGEST simulator hot path: capacity
-// enforcement, skip_rounds accounting, inbox view validity after
+// enforcement, idle-round accounting, inbox view validity after
 // finish_round, frontier (delivered_to) bookkeeping across sparse rounds —
 // the invariants the buffer-reuse/counting-CSR implementation must uphold —
 // the batch round end (finish_round_batch builds no inboxes and leaves the
@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <limits>
 #include <set>
 
 #include "congest/bfs.hpp"
@@ -80,37 +79,20 @@ TEST(SimulatorContract, InboxOutOfRangeIsCaught) {
   EXPECT_TRUE(sim.inbox(2).empty());
 }
 
-TEST(SimulatorContract, SkipRoundsAccounting) {
+TEST(SimulatorContract, IdleRoundStillCounts) {
+  // DESIGN.md §3: the round counter moves once per round the engine closes,
+  // whether or not that round carried a message.
   Graph g = gen::path(2);
   Simulator sim(g);
-  sim.skip_rounds(7);
-  EXPECT_EQ(sim.rounds(), 7);
-  sim.skip_rounds(0);
-  EXPECT_EQ(sim.rounds(), 7);
   sim.send(0, 0, Message{});
   sim.finish_round();
-  EXPECT_EQ(sim.rounds(), 8);
-  sim.skip_rounds(5);
-  EXPECT_EQ(sim.rounds(), 13);
-  EXPECT_THROW(sim.skip_rounds(-1), std::invalid_argument);
-  // Skipping rounds must not disturb delivered inboxes.
+  EXPECT_EQ(sim.rounds(), 1);
   EXPECT_EQ(sim.inbox(1).size(), 1u);
-}
-
-TEST(SimulatorContract, SkipRoundsRejectsNegativeWithoutCorruption) {
-  // A negative skip must throw std::invalid_argument and leave the round
-  // counter untouched — silently subtracting would corrupt every
-  // charged-construction comparison downstream.
-  Graph g = gen::path(3);
-  Simulator sim(g);
-  sim.skip_rounds(3);
-  EXPECT_THROW(sim.skip_rounds(-1), std::invalid_argument);
-  EXPECT_EQ(sim.rounds(), 3);
-  EXPECT_THROW(sim.skip_rounds(std::numeric_limits<long long>::min()),
-               std::invalid_argument);
-  EXPECT_EQ(sim.rounds(), 3);
-  sim.skip_rounds(0);  // zero stays a no-op, not an error
-  EXPECT_EQ(sim.rounds(), 3);
+  sim.finish_round();  // nothing sent
+  EXPECT_EQ(sim.rounds(), 2);
+  EXPECT_EQ(sim.messages_sent(), 1);
+  EXPECT_TRUE(sim.inbox(1).empty());
+  EXPECT_TRUE(sim.delivered_to().empty());
 }
 
 TEST(SimulatorContract, StagedSendsMergeInShardOrder) {

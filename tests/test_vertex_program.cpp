@@ -142,8 +142,9 @@ TEST(VertexProgramEngine, BitIdenticalAcrossThreadCounts) {
 }
 
 TEST(VertexProgramEngine, PortedPrimitivesMatchAcrossThreadCounts) {
-  // The ported workloads themselves (BFS flood + leader election) through
-  // both code paths: n is large enough that each round crosses the grain.
+  // The ported workloads themselves (BFS flood + convergecast over the
+  // flooded tree) through both code paths: n is large enough that each
+  // round crosses the grain.
   Rng rng(23);
   Graph g = gen::random_maximal_planar(600, rng).graph();
   Simulator seq(g, ExecutionPolicy{1});
@@ -156,10 +157,13 @@ TEST(VertexProgramEngine, PortedPrimitivesMatchAcrossThreadCounts) {
   EXPECT_EQ(b1.parent_edge, b2.parent_edge);
   EXPECT_EQ(b1.rounds, b2.rounds);
 
-  congest::LeaderResult l1 = congest::elect_leader(seq);
-  congest::LeaderResult l2 = congest::elect_leader(par);
-  EXPECT_EQ(l1.leader, l2.leader);
-  EXPECT_EQ(l1.rounds, l2.rounds);
+  const RootedTree tree(0, b1.parent, b1.parent_edge);
+  std::vector<std::int64_t> values(static_cast<std::size_t>(g.num_vertices()));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) values[v] = 7 * v + 1;
+  const auto c1 = congest::convergecast_sum(seq, tree, values);
+  const auto c2 = congest::convergecast_sum(par, tree, values);
+  EXPECT_EQ(c1.sum_at_root, c2.sum_at_root);
+  EXPECT_EQ(c1.rounds, c2.rounds);
   EXPECT_EQ(seq.messages_sent(), par.messages_sent());
 }
 
