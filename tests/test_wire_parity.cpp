@@ -11,13 +11,16 @@
 // AggregationTrafficPinned goes one step further and pins the workloads'
 // traffic to fixed digests: a watching Transport folds every round's
 // canonical merged batch (destinations, slots, payloads) into FNV-1a, and
-// mst, mincut, both sssp.approx seedings, LDD-sourced mst and mis must
-// reproduce the recorded (rounds, messages, digest) on one instance per
-// certificate family at widths 1 and 4. Width parity alone cannot catch a
-// kernel change that reorders sends consistently at every width; the
-// recorded digests can. Each pin also carries an answer digest (the
-// payload a run returns), so a change meant to move traffic alone shows
-// that the answers stayed put. They depend on libstdc++'s std::shuffle and
+// mst, mincut, both sssp.approx seedings, LDD-sourced mst, mis, mst.ghs and
+// domset must reproduce the recorded (rounds, messages, digest) on one
+// instance per certificate family at widths 1 and 4. Width parity alone
+// cannot catch a kernel change that reorders sends consistently at every
+// width; the recorded digests can. Each pin also carries an answer digest
+// (the payload a run returns), so a change meant to move traffic alone
+// shows that the answers stayed put, and the run's RoundTrace stream (the
+// callback count and a digest of every callback's stage, index, rounds,
+// messages and charge). Only the width-1 run sets the trace hook, so every
+// pin also checks a traced run against an untraced one. They depend on libstdc++'s std::shuffle and
 // distributions, like bench/baselines/ (DESIGN.md §8). The Wide* and
 // *Aggregator* cases pin a direct PartwiseAggregator the same way: edges
 // carrying more than 64 parts (multi-word dirty masks), reuse of one
@@ -313,6 +316,25 @@ struct TrafficPin {
   long long messages;
   std::uint64_t digest;
   std::uint64_t answer;  ///< answer_digest of the report
+  int traces;            ///< RoundTrace callbacks of the traced run
+  std::uint64_t trace;   ///< TraceDigest over those callbacks
+};
+
+/// Folds every RoundTrace callback of a run into FNV-1a.
+struct TraceDigest {
+  int count = 0;
+  std::uint64_t digest = 14695981039346656037ULL;
+
+  [[nodiscard]] congest::RoundTraceHook hook() {
+    return [this](const congest::RoundTrace& t) {
+      ++count;
+      digest = fnv1a(digest, t.stage, std::strlen(t.stage) + 1);
+      digest = fnv1a(digest, &t.index, sizeof(t.index));
+      digest = fnv1a(digest, &t.rounds, sizeof(t.rounds));
+      digest = fnv1a(digest, &t.messages, sizeof(t.messages));
+      digest = fnv1a(digest, &t.charged_rounds, sizeof(t.charged_rounds));
+    };
+  }
 };
 
 /// FNV-1a over a vector's element bytes; T must have no padding.
@@ -323,7 +345,7 @@ std::uint64_t fold(std::uint64_t h, const std::vector<T>& xs) {
 
 /// FNV-1a over what a run answered, not what it cost: MST edges and
 /// fragments, min-cut value and trees, SSSP distances (not `jumps`, which
-/// the burst budget may move), MIS membership.
+/// the burst budget may move), MIS and dominating-set membership.
 std::uint64_t answer_digest(const congest::RunReport& r) {
   std::uint64_t h = 14695981039346656037ULL;
   if (const auto* p = std::get_if<congest::MstPayload>(&r.payload)) {
@@ -336,6 +358,8 @@ std::uint64_t answer_digest(const congest::RunReport& r) {
     h = fold(h, p->dist);
   } else if (const auto* p = std::get_if<congest::MisPayload>(&r.payload)) {
     h = fold(h, p->in_mis);
+  } else if (const auto* p = std::get_if<congest::DomsetPayload>(&r.payload)) {
+    h = fold(h, p->in_set);
   } else {
     ADD_FAILURE() << "no answer digest for workload " << r.workload;
   }
@@ -356,56 +380,75 @@ std::uint64_t answer_digest(const std::vector<congest::AggValue>& mins) {
 /// re-dirties the bit back toward its sender, and Bellman-Ford never sends
 /// back over the edge that last relaxed a vertex (DESIGN.md §9). Those
 /// rules moved rounds, messages and digests; the answer digests were
-/// recorded on the kernels before them and did not move.
+/// recorded on the kernels before them and did not move. The two trace
+/// columns, and the mst.ghs and domset rows, were recorded while each
+/// workload still wrote its own trace block, before one phase meter took
+/// over the run accounting (DESIGN.md §5).
 constexpr TrafficPin kTrafficPins[] = {
     {"planar", "mst", 236, 47681, 0x8e07885410131f72ULL,
-     0x1805ddf9bcae40deULL},
+     0x1805ddf9bcae40deULL, 5, 0x56b31ae38d04ed31ULL},
     {"planar", "mincut4", 837, 215093, 0x1245967583be44d3ULL,
-     0xaefe42a14956d73ULL},
+     0xaefe42a14956d73ULL, 4, 0x37563c29ad546a8dULL},
     {"planar", "sssp.wavefront", 84, 15540, 0x6cc7c6142e6b26dbULL,
-     0x4120ca4ad42c0a68ULL},
+     0x4120ca4ad42c0a68ULL, 2, 0x61ea09427bb56a7bULL},
     {"planar", "sssp.stride", 90, 21026, 0xbe08a9e86514ad8cULL,
-     0x4120ca4ad42c0a68ULL},
+     0x4120ca4ad42c0a68ULL, 2, 0xbe05f449ff877ee8ULL},
     {"planar", "mst.ldd", 773, 146491, 0xb5730984a42594f4ULL,
-     0x1805ddf9bcae40deULL},
+     0x1805ddf9bcae40deULL, 5, 0x504e9df6df35e34aULL},
     {"planar", "mis", 6, 2803, 0xa9750ecc7a5685c5ULL,
-     0x9f5d2de2657fa37dULL},
+     0x9f5d2de2657fa37dULL, 3, 0x10e4a473e7954800ULL},
+    {"planar", "mst.ghs", 165, 25352, 0x5555c8db575136fdULL,
+     0x1805ddf9bcae40deULL, 5, 0x980352751afab702ULL},
+    {"planar", "domset", 117, 40643, 0xa1671989af1b8cc7ULL,
+     0x5c6fdec80e14ebb6ULL, 20, 0x1a7aa433cc3810a8ULL},
     {"treewidth", "mst", 44, 29028, 0x75de8bc71fa43139ULL,
-     0x7bc0431cbe649a3aULL},
+     0x7bc0431cbe649a3aULL, 3, 0x2d838859b19371c9ULL},
     {"treewidth", "mincut4", 103, 84473, 0xdf893ecac864bbc6ULL,
-     0x9f2dfd952aecfacULL},
+     0x9f2dfd952aecfacULL, 4, 0xad029f0724cdc3e3ULL},
     {"treewidth", "sssp.wavefront", 26, 14034, 0xbf344d9aac4e2962ULL,
-     0xcdd99dbe4a6b7cb5ULL},
+     0xcdd99dbe4a6b7cb5ULL, 2, 0xce4c1b7dd8333f94ULL},
     {"treewidth", "sssp.stride", 26, 13596, 0x4571caa9601ebd4aULL,
-     0xcdd99dbe4a6b7cb5ULL},
+     0xcdd99dbe4a6b7cb5ULL, 2, 0x36aed3f0b2c435c8ULL},
     {"treewidth", "mst.ldd", 199, 76562, 0x2a4d61e207093051ULL,
-     0x7bc0431cbe649a3aULL},
+     0x7bc0431cbe649a3aULL, 3, 0xfaefd2d96441f954ULL},
     {"treewidth", "mis", 6, 4437, 0x44251331878ee7c5ULL,
-     0x6504c5ebb5db0d55ULL},
+     0x6504c5ebb5db0d55ULL, 3, 0xefbd9eda1fff72caULL},
+    {"treewidth", "mst.ghs", 24, 21710, 0xa757108d87de7ad0ULL,
+     0x7bc0431cbe649a3aULL, 3, 0xbda9bfb81ef16318ULL},
+    {"treewidth", "domset", 91, 56836, 0x65b09eb57e6408b6ULL,
+     0xa8d03d16c51390dcULL, 22, 0x3b45f259d34266f4ULL},
     {"apex", "mst", 65, 22555, 0xb9803e4197a8c78aULL,
-     0x32eeabca92f31537ULL},
+     0x32eeabca92f31537ULL, 4, 0xa553173b29adc9abULL},
     {"apex", "mincut4", 230, 91996, 0xc64455ed86fe46e1ULL,
-     0x667f59a01023f54aULL},
+     0x667f59a01023f54aULL, 4, 0xcb5cbb24f3f78a7fULL},
     {"apex", "sssp.wavefront", 32, 8810, 0x4a72e722392f76abULL,
-     0xa5c3d8aa44fd47f5ULL},
+     0xa5c3d8aa44fd47f5ULL, 2, 0x208396c61a1be363ULL},
     {"apex", "sssp.stride", 36, 10377, 0x8e5bed558512df08ULL,
-     0xa5c3d8aa44fd47f5ULL},
+     0xa5c3d8aa44fd47f5ULL, 2, 0x9d68aca4896d18cdULL},
     {"apex", "mst.ldd", 586, 193618, 0x5e7eb1f367f2736fULL,
-     0x32eeabca92f31537ULL},
+     0x32eeabca92f31537ULL, 4, 0xa78c48c98e03a16fULL},
     {"apex", "mis", 6, 2447, 0xaaf6d159cbaf109eULL,
-     0xb9e32b8f3d3a1777ULL},
+     0xb9e32b8f3d3a1777ULL, 3, 0x6e57c4d9e913dd69ULL},
+    {"apex", "mst.ghs", 55, 17276, 0xc20de479a7fd081eULL,
+     0x32eeabca92f31537ULL, 4, 0xbf0b5ffe74c271f7ULL},
+    {"apex", "domset", 77, 29921, 0xd0bc0262c12056eeULL,
+     0xcd4a39abbd44e71eULL, 18, 0x526a38d4779daa14ULL},
     {"cliquesum", "mst", 178, 48622, 0xc04f24d402512696ULL,
-     0x9fe5409e7e07b784ULL},
+     0x9fe5409e7e07b784ULL, 5, 0x16fdc53f8294b9f0ULL},
     {"cliquesum", "mincut4", 645, 189950, 0x480da2afa3fc2d91ULL,
-     0xcc22b3e354e40549ULL},
+     0xcc22b3e354e40549ULL, 4, 0xdc48b71ca3dda21fULL},
     {"cliquesum", "sssp.wavefront", 83, 22456, 0xc7af53bb850536bULL,
-     0xada74947c21dba81ULL},
+     0xada74947c21dba81ULL, 2, 0x817fa48340556e27ULL},
     {"cliquesum", "sssp.stride", 82, 25895, 0x68d6750030e0b2efULL,
-     0xada74947c21dba81ULL},
+     0xada74947c21dba81ULL, 2, 0x8ae5d7a0f7daf547ULL},
     {"cliquesum", "mst.ldd", 567, 140521, 0x81d458fe8d0cc280ULL,
-     0x9fe5409e7e07b784ULL},
+     0x9fe5409e7e07b784ULL, 5, 0xc979280e4ad08afULL},
     {"cliquesum", "mis", 6, 4069, 0xbcdd6f9e694a7910ULL,
-     0xa65c55cc3bcb9d0fULL},
+     0xa65c55cc3bcb9d0fULL, 3, 0x795cc447c2184240ULL},
+    {"cliquesum", "mst.ghs", 115, 27827, 0x59a78077c013db1ULL,
+     0x9fe5409e7e07b784ULL, 5, 0x62bf7743ea29b994ULL},
+    {"cliquesum", "domset", 58, 26817, 0x2a6a1c6f0dde8709ULL,
+     0x68e074464a2ba6c1ULL, 10, 0xb0b4ba3d1a910d23ULL},
 };
 
 const TrafficPin* find_pin(const std::string& family, const std::string& run) {
@@ -415,8 +458,8 @@ const TrafficPin* find_pin(const std::string& family, const std::string& run) {
 }
 
 TEST(WireParity, AggregationTrafficPinned) {
-  const char* runs[] = {"mst",         "mincut4",  "sssp.wavefront",
-                        "sssp.stride", "mst.ldd",  "mis"};
+  const char* runs[] = {"mst",     "mincut4", "sssp.wavefront", "sssp.stride",
+                        "mst.ldd", "mis",     "mst.ghs",        "domset"};
   for (const DigestFamily& fam : digest_families()) {
     ASSERT_GT(fam.graph.num_vertices(),
               static_cast<VertexId>(congest::kParallelGrain));
@@ -431,6 +474,8 @@ TEST(WireParity, AggregationTrafficPinned) {
         session.set_transport(&wire);
         congest::SolveOptions opt;
         opt.threads = width;
+        TraceDigest trace;
+        if (width == 1) opt.trace = trace.hook();
         congest::RunReport r;
         if (run == "mst") {
           r = session.solve(congest::Mst{w}, opt);
@@ -443,15 +488,21 @@ TEST(WireParity, AggregationTrafficPinned) {
         } else if (run == "mst.ldd") {
           opt.partition = congest::PartitionSource::kLdd;
           r = session.solve(congest::Mst{w}, opt);
-        } else {
+        } else if (run == "mis") {
           r = session.solve(congest::Mis{7}, opt);
+        } else if (run == "mst.ghs") {
+          r = session.solve(congest::GhsMst{w}, opt);
+        } else {
+          r = session.solve(congest::DominatingSet{}, opt);
         }
         const TrafficPin* pin = find_pin(fam.name, run);
         if (pin == nullptr) {
           ADD_FAILURE() << "no pin; measured {\"" << fam.name << "\", \""
                         << run << "\", " << r.rounds << ", " << r.messages
                         << ", 0x" << std::hex << wire.digest() << "ULL, 0x"
-                        << answer_digest(r) << "ULL},";
+                        << answer_digest(r) << "ULL, " << std::dec
+                        << trace.count << ", 0x" << std::hex << trace.digest
+                        << "ULL},";
           continue;
         }
         EXPECT_EQ(r.rounds, pin->rounds);
@@ -460,6 +511,11 @@ TEST(WireParity, AggregationTrafficPinned) {
             << "traffic bytes diverged from the recorded digest";
         EXPECT_EQ(answer_digest(r), pin->answer)
             << "the answer diverged from the recorded one";
+        if (width == 1) {
+          EXPECT_EQ(trace.count, pin->traces);
+          EXPECT_EQ(trace.digest, pin->trace)
+              << "the RoundTrace stream diverged from the recorded one";
+        }
       }
     }
   }
