@@ -1,6 +1,8 @@
 #include "congest/solver_core.hpp"
 
 #include <algorithm>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -20,15 +22,15 @@ CoreConfig with_defaults(CoreConfig config) {
   return config;
 }
 
-/// The tree factory is caller code, and the round engine sends along
-/// parent_edge() unchecked: the tree must span `g` and bind every non-root
-/// vertex to an edge joining it to its parent.
-void check_factory_tree(const Graph& g, const RootedTree& t) {
+/// The one tree check, run on every tree the core installs (the factory's,
+/// a restored one, update()'s patched one): the round engine sends along
+/// parent_edge() unchecked, so the tree must span `g` and bind every
+/// non-root vertex to an edge joining it to its parent. Returns what is
+/// wrong, naming the vertex, or "" if nothing is.
+std::string tree_defect(const Graph& g, const RootedTree& t) {
   if (t.num_vertices() != g.num_vertices())
-    throw InvariantViolation(
-        "SolverCore: tree factory returned a tree on " +
-        std::to_string(t.num_vertices()) + " vertices for a graph on " +
-        std::to_string(g.num_vertices()));
+    return "tree on " + std::to_string(t.num_vertices()) +
+           " vertices for a graph on " + std::to_string(g.num_vertices());
   for (VertexId v = 0; v < t.num_vertices(); ++v) {
     if (v == t.root()) continue;
     const EdgeId e = t.parent_edge(v);
@@ -38,11 +40,10 @@ void check_factory_tree(const Graph& g, const RootedTree& t) {
         ((g.edge(e).u == v && g.edge(e).v == p) ||
          (g.edge(e).v == v && g.edge(e).u == p));
     if (!joins)
-      throw InvariantViolation(
-          "SolverCore: tree factory's parent edge of vertex " +
-          std::to_string(v) + " does not join it to its parent " +
-          std::to_string(p));
+      return "parent edge of vertex " + std::to_string(v) +
+             " does not join it to its parent " + std::to_string(p);
   }
+  return "";
 }
 
 }  // namespace
@@ -63,7 +64,8 @@ SolverCore::SolverCore(std::shared_ptr<const Graph> g,
 const RootedTree& SolverCore::tree() const {
   std::call_once(tree_once_, [&] {
     RootedTree t = config_.tree(*g_);
-    check_factory_tree(*g_, t);
+    if (const std::string defect = tree_defect(*g_, t); !defect.empty())
+      throw InvariantViolation("SolverCore: tree factory's " + defect);
     tree_.emplace(std::move(t));
   });
   return *tree_;
@@ -250,10 +252,13 @@ std::shared_ptr<const SolverCore> SolverCore::update(const UpdateBatch& batch,
   if (tree_.has_value()) {
     TreePatch patch = patch_tree(*tree_, core->graph(), delta);
     stats.subpaths_rebuilt = patch.subpaths_rebuilt;
-    std::call_once(core->tree_once_, [&] {
-      core->tree_.emplace(patch.root, std::move(patch.parent),
-                          std::move(patch.parent_edge));
-    });
+    RootedTree t(patch.root, std::move(patch.parent),
+                 std::move(patch.parent_edge));
+    if (const std::string defect = tree_defect(core->graph(), t);
+        !defect.empty())
+      throw InvariantViolation("SolverCore::update: patched " + defect);
+    std::call_once(core->tree_once_,
+                   [&] { core->tree_.emplace(std::move(t)); });
   }
 
   // Migrate surviving cache entries, LRU-first so relative recency carries
@@ -333,13 +338,20 @@ std::shared_ptr<const SolverCore> SolverCore::restore(io::Snapshot&& snapshot,
                                            std::move(config));
   const VertexId n = core->graph().num_vertices();
   if (snapshot.tree) {
+    // A caller-built Snapshot skips decode's checks, so the tree's shape is
+    // checked here too.
     io::TreeSnapshot& ts = *snapshot.tree;
-    if (ts.parent.size() != static_cast<std::size_t>(n))
-      throw io::SnapshotError("snapshot: tree size != vertex count");
-    std::call_once(core->tree_once_, [&] {
-      core->tree_.emplace(ts.root, std::move(ts.parent),
-                          std::move(ts.parent_edge));
-    });
+    std::optional<RootedTree> t;
+    try {
+      t.emplace(ts.root, std::move(ts.parent), std::move(ts.parent_edge));
+    } catch (const std::invalid_argument& e) {
+      throw io::SnapshotError(std::string("snapshot: ") + e.what());
+    }
+    if (const std::string defect = tree_defect(core->graph(), *t);
+        !defect.empty())
+      throw io::SnapshotError("snapshot: " + defect);
+    std::call_once(core->tree_once_,
+                   [&] { core->tree_.emplace(std::move(*t)); });
   }
   // Re-key every cached shortcut under THIS core's partition fingerprints,
   // seeding LRU-first so the snapshot's MRU entry ends up most recent.

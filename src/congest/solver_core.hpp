@@ -100,7 +100,8 @@ class SolverCore {
   /// snapshotted tree (config.tree only applies if the snapshot carries
   /// none) and re-keys every cached shortcut under this core's partition
   /// fingerprints, MRU order preserved — the first solve over a snapshotted
-  /// partition is a cache HIT. Throws io::SnapshotError on invalid data.
+  /// partition is a cache HIT. Throws io::SnapshotError on invalid data,
+  /// naming the vertex if the tree fails the check tree() runs.
   [[nodiscard]] static std::shared_ptr<const SolverCore> restore(
       io::Snapshot&& snapshot, CoreConfig config = {});
 

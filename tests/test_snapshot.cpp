@@ -29,6 +29,7 @@
 #include "io/json.hpp"
 #include "io/report_json.hpp"
 #include "io/snapshot.hpp"
+#include "serve/query_server.hpp"
 
 namespace mns {
 namespace {
@@ -45,13 +46,13 @@ io::Snapshot tiny_snapshot() {
   b.add_edge(1, 2);
   b.add_edge(2, 3);
   b.add_edge(0, 3);
-  snap.graph = b.build();
+  snap.graph = b.build();  // sorted: e0 = 01, e1 = 03, e2 = 12, e3 = 23
   snap.weights = {5, -2, 7, 1000000000000LL};
   snap.certificate = ancestor_certificate(3);
   io::TreeSnapshot ts;
   ts.root = 0;
   ts.parent = {kInvalidVertex, 0, 1, 0};
-  ts.parent_edge = {kInvalidEdge, 0, 1, 3};
+  ts.parent_edge = {kInvalidEdge, 0, 2, 1};
   snap.tree = ts;
   io::CachedShortcut entry;
   entry.part_of = {0, 0, 1, kNoPart};
@@ -312,6 +313,38 @@ TEST(SnapshotCorruption, MissingFileThrowsTyped) {
                io::SnapshotError);
   EXPECT_THROW(io::write_snapshot(tiny_snapshot(), "no/such/dir/out.mns"),
                io::SnapshotError);
+}
+
+// The round engine sends along a tree's parent edges unchecked, so restore
+// must refuse a tree whose parent edge does not join a vertex to its parent
+// (the sentinel kInvalidEdge, or any other in-range edge), naming the
+// vertex, through both front doors.
+TEST(SnapshotCorruption, TreeParentEdgeMustJoinVertexToParent) {
+  Session s(gen::grid(4, 4).graph());
+  const std::string path = "snapshot_bad_tree.mns";
+  s.save(path);
+  const io::Snapshot good = io::read_snapshot(path);
+  ASSERT_TRUE(good.tree.has_value());
+  const VertexId v = good.tree->root == 5 ? 6 : 5;
+  const EdgeId own = good.tree->parent_edge[static_cast<std::size_t>(v)];
+  const EdgeId other = (own + 1) % good.graph.num_edges();
+  for (EdgeId bad : {kInvalidEdge, other}) {
+    SCOPED_TRACE(bad);
+    io::Snapshot snap = good;
+    snap.tree->parent_edge[static_cast<std::size_t>(v)] = bad;
+    io::write_snapshot(snap, path);
+    try {
+      (void)Session::restore(path);
+      ADD_FAILURE() << "Session::restore installed the tree";
+    } catch (const io::SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("vertex " + std::to_string(v)),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW((void)serve::QueryServer::from_snapshot(path),
+                 io::SnapshotError);
+  }
+  std::remove(path.c_str());
 }
 
 // -------------------------------------------------------- restore parity --
