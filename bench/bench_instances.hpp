@@ -15,7 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "congest/solve_handle.hpp"
+#include "congest/workload.hpp"
 #include "core/certificate.hpp"
 #include "gen/apex.hpp"
 #include "gen/planar.hpp"

@@ -21,6 +21,8 @@
 #include "bench_instances.hpp"
 #include "bench_util.hpp"
 #include "congest/distributed_shortcut.hpp"
+#include "congest/mincut.hpp"
+#include "congest/mst.hpp"
 #include "gen/basic.hpp"
 #include "gen/clique_sum.hpp"
 #include "gen/lower_bound.hpp"

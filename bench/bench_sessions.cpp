@@ -28,7 +28,9 @@
 #include "bench_instances.hpp"
 #include "bench_util.hpp"
 #include "congest/dominating_set.hpp"
+#include "congest/mincut.hpp"
 #include "congest/mis.hpp"
+#include "congest/mst.hpp"
 #include "congest/solver_core.hpp"
 #include "core/partition.hpp"
 #include "gen/apex.hpp"

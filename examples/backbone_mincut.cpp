@@ -6,6 +6,7 @@
 //   $ ./examples/backbone_mincut
 #include <cstdio>
 
+#include "congest/mincut.hpp"
 #include "congest/session.hpp"
 #include "gen/clique_sum.hpp"
 #include "gen/series_parallel.hpp"

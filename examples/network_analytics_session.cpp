@@ -21,6 +21,8 @@
 #include <string>
 #include <vector>
 
+#include "congest/mincut.hpp"
+#include "congest/mst.hpp"
 #include "congest/session.hpp"
 #include "gen/apex.hpp"
 #include "gen/planar.hpp"

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <vector>
 
+#include "congest/mst.hpp"
 #include "congest/session.hpp"
 #include "gen/planar.hpp"
 #include "graph/algorithms.hpp"

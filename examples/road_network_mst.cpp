@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "congest/mst.hpp"
 #include "congest/session.hpp"
 #include "gen/apex.hpp"
 #include "gen/planar.hpp"

@@ -14,10 +14,10 @@ namespace {
 /// next frontier is the nodes settled this round.
 struct BfsProgram {
   const Graph& g;
-  DistributedBfsResult& r;
+  BfsPayload& r;
   FrontierTracker tracker;
 
-  BfsProgram(Simulator& sim, DistributedBfsResult& result, VertexId root)
+  BfsProgram(Simulator& sim, BfsPayload& result, VertexId root)
       : g(sim.graph()), r(result),
         tracker(sim.num_shards(), sim.graph().num_vertices()) {
     tracker.seed(root);
@@ -53,17 +53,21 @@ struct BfsProgram {
 
 }  // namespace
 
-DistributedBfsResult distributed_bfs(Simulator& sim, VertexId root) {
+BfsPayload distributed_bfs(const Bfs& q, PhaseMeter& meter) {
+  Simulator& sim = meter.sim();
   const Graph& g = sim.graph();
   const VertexId n = g.num_vertices();
-  DistributedBfsResult r;
+  const VertexId root = q.root;
+  require(root >= 0 && root < n, "distributed_bfs: root out of range");
+  BfsPayload r;
   r.dist.assign(n, -1);
   r.parent.assign(n, kInvalidVertex);
   r.parent_edge.assign(n, kInvalidEdge);
   r.dist[root] = 0;
 
+  meter.open_phase();
   BfsProgram prog(sim, r, root);
-  r.rounds = run_vertex_program(sim, prog);
+  (void)run_vertex_program(sim, prog);
   for (VertexId v = 0; v < n; ++v)
     if (r.dist[v] == -1)
       throw std::invalid_argument("distributed_bfs: graph disconnected");

@@ -2,20 +2,12 @@
 // shortcut algorithm starts from (Theorem 1 roots everything at a BFS tree).
 #pragma once
 
-#include "congest/simulator.hpp"
+#include "congest/workload.hpp"
 
 namespace mns::congest {
 
-struct DistributedBfsResult {
-  std::vector<int> dist;
-  std::vector<VertexId> parent;
-  std::vector<EdgeId> parent_edge;
-  long long rounds = 0;  ///< rounds consumed (== eccentricity of root)
-};
-
-/// Floods from `root`; every node adopts the first sender as parent.
-/// Requires a connected graph.
-[[nodiscard]] DistributedBfsResult distributed_bfs(Simulator& sim,
-                                                   VertexId root);
+/// Floods from q.root; every node adopts the first sender as parent. The
+/// flood is one phase of `meter`. Requires a connected graph.
+[[nodiscard]] BfsPayload distributed_bfs(const Bfs& q, PhaseMeter& meter);
 
 }  // namespace mns::congest

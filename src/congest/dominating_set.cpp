@@ -207,31 +207,23 @@ struct SpanGreedyProgram {
 
 }  // namespace
 
-DominatingSetResult span_greedy_dominating_set(
-    Simulator& sim, const RootedTree& tree,
-    const DominatingSetOptions& options) {
+DomsetPayload span_greedy_dominating_set(const RootedTree& tree,
+                                         PhaseMeter& meter) {
+  Simulator& sim = meter.sim();
   const Graph& g = sim.graph();
   const VertexId n = g.num_vertices();
   require(tree.num_vertices() == n,
           "span_greedy_dominating_set: tree does not span the graph");
-  DominatingSetResult out;
+  DomsetPayload out;
   out.in_set.assign(static_cast<std::size_t>(n), 0);
-  const long long start = sim.rounds();
   SpanGreedyProgram prog(sim, out.in_set);
-  if (options.trace) {
-    while (!prog.frontier().empty()) {
-      const int this_phase = prog.phases;
-      const long long r0 = sim.rounds();
-      const long long m0 = sim.messages_sent();
-      while (prog.phases == this_phase && !prog.frontier().empty())
-        (void)run_vertex_program_round(sim, prog);
-      options.trace(RoundTrace{"span-phase", this_phase + 1, sim.rounds() - r0,
-                               sim.messages_sent() - m0, 0});
-    }
-  } else {
-    (void)run_vertex_program(sim, prog);
+  while (!prog.frontier().empty()) {
+    const int this_phase = prog.phases;
+    meter.open_phase();
+    while (prog.phases == this_phase && !prog.frontier().empty())
+      (void)run_vertex_program_round(sim, prog);
+    meter.close_phase("span-phase");
   }
-  out.phases = prog.phases;
   // The size is a quantity the network computes: subtree sums to the root.
   std::vector<std::int64_t> ones(static_cast<std::size_t>(n), 0);
   VertexId local = 0;
@@ -244,7 +236,6 @@ DominatingSetResult span_greedy_dominating_set(
   out.size = static_cast<VertexId>(sum.sum_at_root);
   require(out.size == local,
           "span_greedy_dominating_set: convergecast disagrees with local count");
-  out.rounds = sim.rounds() - start;
   return out;
 }
 

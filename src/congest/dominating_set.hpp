@@ -25,29 +25,16 @@
 #include <string>
 #include <vector>
 
-#include "congest/shortcut_source.hpp"
-#include "congest/simulator.hpp"
+#include "congest/workload.hpp"
 #include "graph/rooted_tree.hpp"
 
 namespace mns::congest {
 
-struct DominatingSetOptions {
-  /// Optional per-phase telemetry (stage = "span-phase").
-  RoundTraceHook trace;
-};
-
-struct DominatingSetResult {
-  std::vector<char> in_set;  ///< 1 iff the vertex joined the dominating set
-  VertexId size = 0;         ///< |D| as summed at the tree root (convergecast)
-  long long rounds = 0;      ///< measured rounds, convergecast included
-  int phases = 0;            ///< selection phases until full coverage
-};
-
-/// Runs the span greedy to full coverage, then convergecasts |D| over
-/// `tree` (the session spanning tree).
-[[nodiscard]] DominatingSetResult span_greedy_dominating_set(
-    Simulator& sim, const RootedTree& tree,
-    const DominatingSetOptions& options = {});
+/// Runs the span greedy to full coverage, one "span-phase" of `meter` per
+/// selection phase, then convergecasts |D| over `tree` (the session
+/// spanning tree).
+[[nodiscard]] DomsetPayload span_greedy_dominating_set(const RootedTree& tree,
+                                                       PhaseMeter& meter);
 
 /// Sequential greedy oracle: repeatedly pick the vertex covering the most
 /// still-uncovered vertices (ties: smaller id) — the reference bound for the

@@ -202,46 +202,41 @@ Weight best_two_respecting_cut(const Graph& g, const std::vector<Weight>& w,
   return *std::min_element(values.begin(), values.end());
 }
 
-MinCutResult approx_min_cut(Simulator& sim, const std::vector<Weight>& w,
-                            const MinCutOptions& options) {
+MinCutPayload approx_min_cut(const MinCut& q, const ShortcutSource& source,
+                             PhaseMeter& meter) {
+  Simulator& sim = meter.sim();
   const Graph& g = sim.graph();
-  require(static_cast<bool>(options.source),
-          "approx_min_cut: no shortcut source");
-  require(options.num_trees >= 1, "approx_min_cut: need >= 1 tree");
-  long long start = sim.rounds();
+  const std::vector<Weight>& w = q.weights;
+  require(static_cast<bool>(source), "approx_min_cut: no shortcut source");
+  require(q.num_trees >= 1, "approx_min_cut: need >= 1 tree");
 
   // Greedy tree packing: load-scaled weights, one distributed MST per tree.
   std::vector<Weight> load(g.num_edges(), 0);
-  MinCutResult out;
+  MinCutPayload out;
   out.value = std::numeric_limits<Weight>::max();
   // Dissemination machinery for the per-tree cut minimum: the whole-network
   // partition, its shortcut, and the aggregator are identical for every
   // packing tree, so obtain them once. If it was built fresh, its charge is
   // the first dissemination's measured rounds (applied after that pass).
   Partition whole(std::vector<PartId>(g.num_vertices(), 0));
-  SourcedShortcut whole_sc = options.source(g, whole);
+  SourcedShortcut whole_sc = source(g, whole);
   PartwiseAggregator whole_agg(g, whole, *whole_sc.shortcut);
   bool whole_charge_pending = whole_sc.fresh;
-  for (int t = 0; t < options.num_trees; ++t) {
-    const long long tree_rounds_start = sim.rounds();
-    const long long tree_messages_start = sim.messages_sent();
-    const long long tree_charged_start = out.charged_construction_rounds;
+  PhaseMeter packing = meter.inner();
+  for (int t = 0; t < q.num_trees; ++t) {
+    meter.open_phase();
     std::vector<Weight> packing_weight(g.num_edges());
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       // Relative load: load/capacity, scaled to stay integral.
       packing_weight[e] = (load[e] << 20) / std::max<Weight>(w[e], 1);
     }
-    MstOptions mopt;
-    mopt.source = options.source;
-    MstResult mst = boruvka_mst(sim, packing_weight, mopt);
-    out.charged_construction_rounds += mst.charged_construction_rounds;
-    out.aggregations += mst.aggregations;
+    const MstPayload mst = boruvka_mst(packing_weight, source, packing);
     for (EdgeId e : mst.edges) ++load[e];
     // Per-vertex candidate cuts (verifier-grade evaluation), then a REAL
     // part-wise min aggregation over the whole network on the source's
     // shortcut — the "one aggregation pass per tree", measured
     // round-by-round like every other distributed routine in src/congest.
-    std::vector<Weight> cand = options.two_respecting
+    std::vector<Weight> cand = q.two_respecting
                                    ? two_respecting_cut_values(g, w, mst.edges)
                                    : one_respecting_cut_values(g, w, mst.edges);
     const Weight score = *std::min_element(cand.begin(), cand.end());
@@ -252,22 +247,17 @@ MinCutResult approx_min_cut(Simulator& sim, const std::vector<Weight>& w,
                                std::numeric_limits<std::int32_t>::max()}
                     : AggValue{cand[v], v};  // the root keys no cut
     AggregationResult res = whole_agg.aggregate_min(sim, init);
-    ++out.aggregations;
+    meter.aggregated();
     if (whole_charge_pending) {
-      out.charged_construction_rounds += res.rounds;
+      meter.charge(res.rounds);
       whole_charge_pending = false;
     }
     require(res.min_of_part[0].value == score,
             "approx_min_cut: disseminated cut disagrees with the verifier");
     out.value = std::min(out.value, score);
     ++out.trees;
-    if (options.trace)
-      options.trace(RoundTrace{
-          "packing-tree", out.trees, sim.rounds() - tree_rounds_start,
-          sim.messages_sent() - tree_messages_start,
-          out.charged_construction_rounds - tree_charged_start});
+    meter.close_phase("packing-tree");
   }
-  out.rounds = sim.rounds() - start;
   return out;
 }
 

@@ -16,7 +16,7 @@
 #pragma once
 
 #include "congest/mst.hpp"
-#include "congest/simulator.hpp"
+#include "congest/workload.hpp"
 
 namespace mns::congest {
 
@@ -24,37 +24,14 @@ namespace mns::congest {
 [[nodiscard]] Weight exact_min_cut(const Graph& g,
                                    const std::vector<Weight>& w);
 
-struct MinCutResult {
-  Weight value = 0;      ///< best 1-respecting cut over the packing
-  long long rounds = 0;  ///< measured rounds (dominated by the MSTs)
-  /// Construction charges for freshly built shortcuts (DESIGN.md §2),
-  /// accumulated across the packing MSTs and the dissemination shortcut.
-  long long charged_construction_rounds = 0;
-  long long aggregations = 0;
-  int trees = 0;
-
-  [[nodiscard]] long long total_rounds() const {
-    return rounds + charged_construction_rounds;
-  }
-};
-
-struct MinCutOptions {
-  /// Shortcut source shared by the packing MSTs and the per-tree cut
-  /// dissemination (Session::solve wires the session cache in here).
-  ShortcutSource source;
-  int num_trees = 8;
-  /// Score each packing tree by its best 2-respecting cut (Thorup's (1+eps)
-  /// guarantee) instead of 1-respecting only (2-approx guarantee). The
-  /// evaluation is centralized verifier-grade either way; the charged rounds
-  /// are identical (see DESIGN.md §4).
-  bool two_respecting = false;
-  /// Optional per-packing-tree telemetry (stage = "packing-tree").
-  RoundTraceHook trace;
-};
-
-[[nodiscard]] MinCutResult approx_min_cut(Simulator& sim,
-                                          const std::vector<Weight>& w,
-                                          const MinCutOptions& options);
+/// Greedy tree packing: q.num_trees packing MSTs over `source`, each scored
+/// by its best 1- (or 2-) respecting cut, the score disseminated by one
+/// aggregation over the whole network. Each tree is one "packing-tree"
+/// phase of `meter`; the packing MSTs add their aggregations and charges
+/// but no phases or trace entries.
+[[nodiscard]] MinCutPayload approx_min_cut(const MinCut& q,
+                                           const ShortcutSource& source,
+                                           PhaseMeter& meter);
 
 /// Best 1-respecting cut of the spanning tree `tree_edges` (centralized
 /// helper, also used to verify the distributed accounting).

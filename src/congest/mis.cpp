@@ -164,30 +164,19 @@ std::int64_t mis_priority(std::uint64_t seed, int phase, VertexId v) {
   return static_cast<std::int64_t>(h >> 1);  // non-negative
 }
 
-MisResult luby_mis(Simulator& sim, const MisOptions& options) {
-  const Graph& g = sim.graph();
-  MisResult out;
-  out.in_mis.assign(static_cast<std::size_t>(g.num_vertices()), 0);
-  std::vector<char> status(static_cast<std::size_t>(g.num_vertices()),
-                           kUndecided);
-  LubyProgram prog(sim, options.seed, status);
-  if (options.trace) {
-    // Phase-granular telemetry: drive one phase (two rounds) at a time.
-    long long rounds = 0;
-    while (!prog.frontier().empty()) {
-      const int this_phase = prog.phase;
-      const long long r0 = sim.rounds();
-      const long long m0 = sim.messages_sent();
-      while (prog.phase == this_phase && !prog.frontier().empty())
-        rounds += run_vertex_program_round(sim, prog);
-      options.trace(RoundTrace{"luby-phase", this_phase + 1,
-                               sim.rounds() - r0, sim.messages_sent() - m0, 0});
-    }
-    out.rounds = rounds;
-  } else {
-    out.rounds = run_vertex_program(sim, prog);
+MisPayload luby_mis(const Mis& q, PhaseMeter& meter) {
+  Simulator& sim = meter.sim();
+  MisPayload out;
+  out.in_mis.assign(static_cast<std::size_t>(sim.graph().num_vertices()), 0);
+  std::vector<char> status(out.in_mis.size(), kUndecided);
+  LubyProgram prog(sim, q.seed, status);
+  while (!prog.frontier().empty()) {
+    const int this_phase = prog.phase;
+    meter.open_phase();
+    while (prog.phase == this_phase && !prog.frontier().empty())
+      (void)run_vertex_program_round(sim, prog);
+    meter.close_phase("luby-phase");
   }
-  out.phases = prog.phase;
   for (std::size_t v = 0; v < status.size(); ++v)
     if (status[v] == kInMis) {
       out.in_mis[v] = 1;

@@ -19,28 +19,15 @@
 #include <string>
 #include <vector>
 
-#include "congest/shortcut_source.hpp"
-#include "congest/simulator.hpp"
+#include "congest/workload.hpp"
 
 namespace mns::congest {
 
-struct MisOptions {
-  /// Seeds the per-(phase, vertex) priority hashes; same seed = identical
-  /// run, message for message.
-  std::uint64_t seed = 1;
-  /// Optional per-phase telemetry (stage = "luby-phase").
-  RoundTraceHook trace;
-};
-
-struct MisResult {
-  std::vector<char> in_mis;  ///< 1 iff the vertex joined the set
-  VertexId size = 0;         ///< number of MIS members
-  long long rounds = 0;      ///< measured communication rounds
-  int phases = 0;            ///< Luby phases until quiescence
-};
-
-/// Runs Luby's algorithm to completion on the simulator's network.
-[[nodiscard]] MisResult luby_mis(Simulator& sim, const MisOptions& options = {});
+/// Runs Luby's algorithm to completion on the meter's network, one
+/// "luby-phase" of `meter` per phase; q.seed seeds the per-(phase, vertex)
+/// priority hashes, so the same seed gives the same run, message for
+/// message.
+[[nodiscard]] MisPayload luby_mis(const Mis& q, PhaseMeter& meter);
 
 /// The phase priority of `v` — exposed so tests can pin determinism.
 [[nodiscard]] std::int64_t mis_priority(std::uint64_t seed, int phase,

@@ -164,18 +164,19 @@ std::vector<EdgeId> kruskal_mst(const Graph& g, const std::vector<Weight>& w) {
   return mst;
 }
 
-MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
-                      const MstOptions& options) {
+MstPayload boruvka_mst(const std::vector<Weight>& w,
+                       const ShortcutSource& source, PhaseMeter& meter,
+                       VertexId stop_at_fragment_size) {
+  Simulator& sim = meter.sim();
   const Graph& g = sim.graph();
   const VertexId n = g.num_vertices();
-  require(static_cast<bool>(options.source), "boruvka_mst: no shortcut source");
+  require(static_cast<bool>(source), "boruvka_mst: no shortcut source");
   require(static_cast<EdgeId>(w.size()) == g.num_edges(),
           "boruvka_mst: weight size mismatch");
 
-  MstResult out;
+  MstPayload out;
   std::vector<PartId> frag(n);
   std::iota(frag.begin(), frag.end(), 0);
-  long long start = sim.rounds();
 
   // Neighbour fragment ids, flat per directed receive slot 2e + side (side
   // keyed by the receiving endpoint; every exchange writes every slot) —
@@ -201,17 +202,14 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
   };
   while (true) {
     if (parts->num_parts() == 1) break;
-    if (options.stop_at_fragment_size > 0) {
+    if (stop_at_fragment_size > 0) {
       VertexId smallest = n;
       for (PartId p = 0; p < parts->num_parts(); ++p)
         smallest = std::min(smallest,
                             static_cast<VertexId>(parts->members(p).size()));
-      if (smallest >= options.stop_at_fragment_size) break;
+      if (smallest >= stop_at_fragment_size) break;
     }
-    ++out.phases;
-    const long long phase_rounds_start = sim.rounds();
-    const long long phase_messages_start = sim.messages_sent();
-    const long long phase_charged_start = out.charged_construction_rounds;
+    meter.open_phase();
 
     // 1 round: every node tells each neighbour its fragment id.
     (void)run_fragment_exchange(
@@ -239,13 +237,13 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
     // carried aggregator serves when the source returns its shortcut again
     // (the same object, or equal edge lists — LDD projection builds new
     // objects).
-    SourcedShortcut sc = options.source(g, *parts);
+    SourcedShortcut sc = source(g, *parts);
     if (!agg || (sc.shortcut != agg_shortcut &&
                  sc.shortcut->edges_of_part != agg_shortcut->edges_of_part))
       build_aggregator(*parts, sc.shortcut);
     const AggregationResult res = agg->aggregate_min(sim, initial);
-    ++out.aggregations;
-    if (sc.fresh) out.charged_construction_rounds += res.rounds;
+    meter.aggregated();
+    if (sc.fresh) meter.charge(res.rounds);
 
     // Merge along chosen edges (star contraction via DSU).
     bool merged_any = false;
@@ -277,19 +275,15 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
     auto new_parts = std::make_unique<Partition>(
         std::vector<PartId>(new_frag.begin(), new_frag.end()));
     agg.reset();
-    SourcedShortcut new_sc = options.source(g, *new_parts);
+    SourcedShortcut new_sc = source(g, *new_parts);
     build_aggregator(*new_parts, std::move(new_sc.shortcut));
     std::vector<AggValue> labels(n);
     for (VertexId v = 0; v < n; ++v) labels[v] = AggValue{frag[v], 0};
     AggregationResult res2 = agg->aggregate_min(sim, labels);
-    ++out.aggregations;
-    if (new_sc.fresh) out.charged_construction_rounds += res2.rounds;
+    meter.aggregated();
+    if (new_sc.fresh) meter.charge(res2.rounds);
 
-    if (options.trace)
-      options.trace(RoundTrace{
-          "boruvka-phase", out.phases, sim.rounds() - phase_rounds_start,
-          sim.messages_sent() - phase_messages_start,
-          out.charged_construction_rounds - phase_charged_start});
+    meter.close_phase("boruvka-phase");
     frag = std::move(new_frag);
     parts = std::move(new_parts);
   }
@@ -297,39 +291,27 @@ MstResult boruvka_mst(Simulator& sim, const std::vector<Weight>& w,
   std::sort(out.edges.begin(), out.edges.end());
   out.edges.erase(std::unique(out.edges.begin(), out.edges.end()),
                   out.edges.end());
-  out.rounds = sim.rounds() - start;
   out.fragment_of = std::move(frag);
   return out;
 }
 
-MstResult controlled_ghs_mst(Simulator& sim, const RootedTree& bfs_tree,
-                             const std::vector<Weight>& w,
-                             const RoundTraceHook& trace) {
+MstPayload controlled_ghs_mst(const std::vector<Weight>& w,
+                              const RootedTree& bfs_tree, PhaseMeter& meter) {
+  Simulator& sim = meter.sim();
   const Graph& g = sim.graph();
   const VertexId n = g.num_vertices();
-  long long start = sim.rounds();
 
   // Phase 1: shortcut-free Boruvka until fragments reach sqrt(n).
-  MstOptions opt;
-  opt.source = empty_shortcut_source();
-  opt.trace = trace;
-  opt.stop_at_fragment_size =
-      static_cast<VertexId>(std::ceil(std::sqrt(static_cast<double>(n))));
-  MstResult phase1 = boruvka_mst(sim, w, opt);
-
-  MstResult out;
-  out.edges = phase1.edges;
-  out.phases = phase1.phases;
-  out.aggregations = phase1.aggregations;
-  std::vector<PartId> frag = phase1.fragment_of;
+  MstPayload out = boruvka_mst(
+      w, empty_shortcut_source(), meter,
+      static_cast<VertexId>(std::ceil(std::sqrt(static_cast<double>(n)))));
+  std::vector<PartId>& frag = out.fragment_of;
 
   // Phase 2: pipelined upcast/downcast over the BFS tree.
   while (true) {
     PartId num_frag = *std::max_element(frag.begin(), frag.end()) + 1;
     if (num_frag <= 1) break;
-    ++out.phases;
-    const long long phase_rounds_start = sim.rounds();
-    const long long phase_messages_start = sim.messages_sent();
+    meter.open_phase();
 
     // One round of fragment exchange with neighbours; local candidates.
     std::vector<std::map<PartId, AggValue>> table(n);
@@ -383,17 +365,12 @@ MstResult controlled_ghs_mst(Simulator& sim, const RootedTree& bfs_tree,
       (void)run_vertex_program(sim, down);
     }
     for (VertexId v = 0; v < n; ++v) frag[v] = relabel[frag[v]];
-    if (trace)
-      trace(RoundTrace{"ghs-phase", out.phases,
-                       sim.rounds() - phase_rounds_start,
-                       sim.messages_sent() - phase_messages_start, 0});
+    meter.close_phase("ghs-phase");
   }
 
   std::sort(out.edges.begin(), out.edges.end());
   out.edges.erase(std::unique(out.edges.begin(), out.edges.end()),
                   out.edges.end());
-  out.rounds = sim.rounds() - start;
-  out.fragment_of = std::move(frag);
   return out;
 }
 

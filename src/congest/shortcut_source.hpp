@@ -5,9 +5,9 @@
 // "who pays for building it": it returns the shortcut plus whether it was
 // freshly constructed.
 // Workloads charge the [HIZ16a] construction substitution only for FRESH
-// shortcuts (recording the charge in their result's
-// charged_construction_rounds, never in the simulator's measured rounds), so
-// a Session cache that serves a previously built shortcut automatically
+// shortcuts (through their PhaseMeter into the RunReport's
+// charged_construction_rounds, never into the simulator's measured rounds),
+// so a Session cache that serves a previously built shortcut automatically
 // yields the "charged once per distinct partition" discipline.
 #pragma once
 
@@ -40,16 +40,5 @@ using ShortcutSource =
         std::make_shared<const Shortcut>(empty_shortcut(parts)), false};
   };
 }
-
-/// One entry of the per-phase telemetry stream every workload can emit
-/// (RunReport's RoundTrace hook): which stage of the run consumed what.
-struct RoundTrace {
-  const char* stage = "";  ///< "boruvka-phase", "packing-tree", ...
-  int index = 0;           ///< phase / tree / scale-phase number within a run
-  long long rounds = 0;    ///< measured communication rounds of this phase
-  long long messages = 0;  ///< messages sent in this phase
-  long long charged_rounds = 0;  ///< substitution charges attributed here
-};
-using RoundTraceHook = std::function<void(const RoundTrace&)>;
 
 }  // namespace mns::congest

@@ -5,8 +5,12 @@
 #include <iterator>
 #include <utility>
 
+#include "congest/bfs.hpp"
 #include "congest/dominating_set.hpp"
+#include "congest/mincut.hpp"
 #include "congest/mis.hpp"
+#include "congest/mst.hpp"
+#include "congest/sssp.hpp"
 
 namespace mns::congest {
 
@@ -47,6 +51,28 @@ std::shared_ptr<const Shortcut> project_ldd_shortcut(
     hp.erase(std::unique(hp.begin(), hp.end()), hp.end());
   }
   return out;
+}
+
+/// The Aggregate workload: one part-wise min aggregation over q.parts, one
+/// phase, charged its own rounds when its shortcut was built fresh.
+AggregatePayload aggregate_once(const Aggregate& q,
+                                const ShortcutSource& source,
+                                PhaseMeter& meter) {
+  const Graph& g = meter.sim().graph();
+  require(static_cast<VertexId>(q.values.size()) == g.num_vertices(),
+          "SolveHandle: aggregate values size mismatch");
+  // Checked before the shortcut source sees the partition: a builder
+  // would index its per-vertex map by the graph's vertices.
+  require(static_cast<VertexId>(q.parts.part_of_all().size()) ==
+              g.num_vertices(),
+          "SolveHandle: aggregate partition size mismatch");
+  meter.open_phase();
+  SourcedShortcut s = source(g, q.parts);
+  PartwiseAggregator agg(g, q.parts, *s.shortcut);
+  AggregationResult res = agg.aggregate_min(meter.sim(), q.values);
+  meter.aggregated();
+  if (s.fresh) meter.charge(res.rounds);
+  return AggregatePayload{std::move(res.min_of_part)};
 }
 
 }  // namespace
@@ -150,7 +176,8 @@ RunReport SolveHandle::run(const char* workload, const SolveOptions& opt,
   RunReport r;
   r.workload = workload;
   r.threads = sim_.num_shards();
-  body(r);
+  PhaseMeter meter(sim_, r, opt.trace);
+  r.payload = body(meter);
   r.rounds = sim_.rounds() - start_rounds;
   r.messages = sim_.messages_sent() - start_messages;
   r.cache_hits = hits_ - start_hits;
@@ -163,124 +190,60 @@ RunReport SolveHandle::run(const char* workload, const SolveOptions& opt,
 }
 
 RunReport SolveHandle::solve(const Mst& q, const SolveOptions& opt) {
-  return run("mst", opt, [&](RunReport& r) {
-    MstOptions mopt;
-    mopt.source = make_source(opt);
-    mopt.trace = opt.trace;
-    MstResult res = boruvka_mst(sim_, q.weights, mopt);
-    r.charged_construction_rounds = res.charged_construction_rounds;
-    r.phases = res.phases;
-    r.aggregations = res.aggregations;
-    r.payload = MstPayload{std::move(res.edges), std::move(res.fragment_of)};
+  return run("mst", opt, [&](PhaseMeter& m) {
+    return boruvka_mst(q.weights, make_source(opt), m);
   });
 }
 
 RunReport SolveHandle::solve(const GhsMst& q, const SolveOptions& opt) {
-  return run("mst.ghs", opt, [&](RunReport& r) {
-    // GHS is shortcut-free: nothing to cache or charge; only the trace
-    // stream applies.
-    MstResult res = controlled_ghs_mst(sim_, core_->tree(), q.weights,
-                                       opt.trace);
-    r.phases = res.phases;
-    r.aggregations = res.aggregations;
-    r.payload = MstPayload{std::move(res.edges), std::move(res.fragment_of)};
+  // GHS is shortcut-free: nothing to cache or charge.
+  return run("mst.ghs", opt, [&](PhaseMeter& m) {
+    return controlled_ghs_mst(q.weights, core_->tree(), m);
   });
 }
 
 RunReport SolveHandle::solve(const MinCut& q, const SolveOptions& opt) {
-  return run("mincut", opt, [&](RunReport& r) {
-    MinCutOptions copt;
-    copt.source = make_source(opt);
-    copt.num_trees = q.num_trees;
-    copt.two_respecting = q.two_respecting;
-    copt.trace = opt.trace;
-    MinCutResult res = approx_min_cut(sim_, q.weights, copt);
-    r.charged_construction_rounds = res.charged_construction_rounds;
-    r.phases = res.trees;
-    r.aggregations = res.aggregations;
-    r.payload = MinCutPayload{res.value, res.trees};
+  return run("mincut", opt, [&](PhaseMeter& m) {
+    return approx_min_cut(q, make_source(opt), m);
   });
 }
 
 RunReport SolveHandle::solve(const ExactSssp& q, const SolveOptions& opt) {
-  return run("sssp.exact", opt, [&](RunReport& r) {
-    (void)opt;  // Bellman-Ford is shortcut-free
-    SsspResult res = exact_sssp(sim_, q.weights, q.source);
-    r.phases = res.phases;
-    r.payload = SsspPayload{std::move(res.dist), res.jumps};
-  });
+  // Bellman-Ford is shortcut-free.
+  return run("sssp.exact", opt,
+             [&](PhaseMeter& m) { return exact_sssp(q, m); });
 }
 
 RunReport SolveHandle::solve(const ApproxSssp& q, const SolveOptions& opt) {
-  return run("sssp.approx", opt, [&](RunReport& r) {
-    ApproxSsspOptions sopt;
-    sopt.source = make_source(opt);
-    sopt.epsilon = q.epsilon;
-    sopt.num_seeds = q.num_seeds;
-    sopt.repartition_growth = q.repartition_growth;
-    sopt.wavefront_seeds = q.wavefront_seeds;
-    sopt.trace = opt.trace;
-    // LDD provenance pins the cells themselves: one fixed clustering, never
-    // repartitioned, so every run over this core is the same cache entry.
-    if (opt.partition == PartitionSource::kLdd) sopt.fixed_cells = &core_->ldd();
-    SsspResult res = approx_sssp(sim_, q.weights, q.source, sopt);
-    r.charged_construction_rounds = res.charged_construction_rounds;
-    r.phases = res.phases;
-    r.aggregations = res.jumps;
-    r.payload = SsspPayload{std::move(res.dist), res.jumps};
+  // LDD provenance pins the cells themselves: one fixed clustering, never
+  // repartitioned, so every run over this core is the same cache entry.
+  return run("sssp.approx", opt, [&](PhaseMeter& m) {
+    return approx_sssp(
+        q, make_source(opt), m,
+        opt.partition == PartitionSource::kLdd ? &core_->ldd() : nullptr);
   });
 }
 
 RunReport SolveHandle::solve(const Bfs& q, const SolveOptions& opt) {
-  return run("bfs", opt, [&](RunReport& r) {
-    (void)opt;  // flooding needs no shortcuts
-    DistributedBfsResult res = distributed_bfs(sim_, q.root);
-    r.phases = 1;
-    r.payload = BfsPayload{std::move(res.dist), std::move(res.parent),
-                           std::move(res.parent_edge)};
-  });
+  // Flooding needs no shortcuts.
+  return run("bfs", opt,
+             [&](PhaseMeter& m) { return distributed_bfs(q, m); });
 }
 
 RunReport SolveHandle::solve(const Mis& q, const SolveOptions& opt) {
-  return run("mis", opt, [&](RunReport& r) {
-    MisOptions mopt;
-    mopt.seed = q.seed;
-    mopt.trace = opt.trace;
-    MisResult res = luby_mis(sim_, mopt);
-    r.phases = res.phases;
-    r.payload = MisPayload{std::move(res.in_mis), res.size};
-  });
+  return run("mis", opt, [&](PhaseMeter& m) { return luby_mis(q, m); });
 }
 
-RunReport SolveHandle::solve(const DominatingSet& q, const SolveOptions& opt) {
-  return run("domset", opt, [&](RunReport& r) {
-    (void)q;  // span greedy has no knobs beyond the trace
-    DominatingSetOptions dopt;
-    dopt.trace = opt.trace;
-    DominatingSetResult res =
-        span_greedy_dominating_set(sim_, core_->tree(), dopt);
-    r.phases = res.phases;
-    r.payload = DomsetPayload{std::move(res.in_set), res.size};
+RunReport SolveHandle::solve(const DominatingSet&, const SolveOptions& opt) {
+  // Span greedy has no knobs.
+  return run("domset", opt, [&](PhaseMeter& m) {
+    return span_greedy_dominating_set(core_->tree(), m);
   });
 }
 
 RunReport SolveHandle::solve(const Aggregate& q, const SolveOptions& opt) {
-  return run("aggregate", opt, [&](RunReport& r) {
-    require(static_cast<VertexId>(q.values.size()) ==
-                core_->graph().num_vertices(),
-            "SolveHandle: aggregate values size mismatch");
-    // Checked before the shortcut source sees the partition: a builder
-    // would index its per-vertex map by the graph's vertices.
-    require(static_cast<VertexId>(q.parts.part_of_all().size()) ==
-                core_->graph().num_vertices(),
-            "SolveHandle: aggregate partition size mismatch");
-    SourcedShortcut s = make_source(opt)(core_->graph(), q.parts);
-    PartwiseAggregator agg(core_->graph(), q.parts, *s.shortcut);
-    AggregationResult res = agg.aggregate_min(sim_, q.values);
-    r.phases = 1;
-    r.aggregations = 1;
-    if (s.fresh) r.charged_construction_rounds = res.rounds;
-    r.payload = AggregatePayload{std::move(res.min_of_part)};
+  return run("aggregate", opt, [&](PhaseMeter& m) {
+    return aggregate_once(q, make_source(opt), m);
   });
 }
 

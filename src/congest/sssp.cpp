@@ -185,16 +185,18 @@ std::vector<Weight> round_weights(const std::vector<Weight>& w,
   return out;
 }
 
-SsspResult exact_sssp(Simulator& sim, const std::vector<Weight>& w,
-                      VertexId source) {
+SsspPayload exact_sssp(const ExactSssp& q, PhaseMeter& meter) {
+  Simulator& sim = meter.sim();
   const Graph& g = sim.graph();
   const VertexId n = g.num_vertices();
+  const std::vector<Weight>& w = q.weights;
+  const VertexId source = q.source;
   require(static_cast<EdgeId>(w.size()) == g.num_edges(),
           "exact_sssp: weight size mismatch");
   for (Weight x : w) require(x >= 0, "exact_sssp: negative weight");
   require(source >= 0 && source < n, "exact_sssp: source out of range");
 
-  SsspResult out;
+  SsspPayload out;
   out.dist.assign(n, kUnreachedWeight);
   out.dist[source] = 0;
   std::vector<char> in_frontier(n, 0);
@@ -202,26 +204,30 @@ SsspResult exact_sssp(Simulator& sim, const std::vector<Weight>& w,
   in_frontier[source] = 1;
   BellmanFordProgram prog(sim, w, out.dist, in_frontier, frontier);
   prog.start_burst(std::numeric_limits<long long>::max());
-  out.rounds = run_vertex_program(sim, prog);
+  (void)run_vertex_program(sim, prog);
   return out;
 }
 
-SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
-                       VertexId source, const ApproxSsspOptions& options) {
+SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
+                        PhaseMeter& meter,
+                        const LddDecomposition* fixed_cells) {
+  Simulator& sim = meter.sim();
   const Graph& g = sim.graph();
   const VertexId n = g.num_vertices();
-  require(static_cast<bool>(options.source), "approx_sssp: no shortcut source");
+  const std::vector<Weight>& w = q.weights;
+  const VertexId source = q.source;
+  require(static_cast<bool>(shortcuts), "approx_sssp: no shortcut source");
   require(source >= 0 && source < n, "approx_sssp: source out of range");
   require(static_cast<EdgeId>(w.size()) == g.num_edges(),
           "approx_sssp: weight size mismatch");
   // The core's spanning-tree factory (and Definition 10 itself) assumes
   // one connected network, like distributed_bfs.
   require(is_connected(g), "approx_sssp: graph disconnected");
-  const std::vector<Weight> w2 = round_weights(w, options.epsilon);
+  const std::vector<Weight> w2 = round_weights(w, q.epsilon);
 
   const VertexId num_seeds =
-      options.num_seeds > 0
-          ? options.num_seeds
+      q.num_seeds > 0
+          ? q.num_seeds
           : std::max<VertexId>(2, static_cast<VertexId>(std::ceil(
                                       std::sqrt(static_cast<double>(n)))));
   // Voronoi growth stops at this hop depth (a few cell diameters),
@@ -230,7 +236,7 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
       std::clamp(4 * (n / std::max<VertexId>(1, num_seeds)), VertexId{16},
                  std::max<VertexId>(16, n));
 
-  SsspResult out;
+  SsspPayload out;
   out.dist.assign(n, kUnreachedWeight);
   out.dist[source] = 0;
   std::vector<char> in_frontier(n, 0);
@@ -238,7 +244,6 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
   in_frontier[source] = 1;
   long long reached = 1;
   long long reached_at_partition = 0;
-  const long long start = sim.rounds();
 
   // Per-part "some member improved since the last jump" flags: a jump only
   // aggregates dirty parts — a clean part's min is provably unchanged, so
@@ -282,47 +287,33 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
 
   // Per-phase partition state: weighted Voronoi cells seeded around the
   // current wavefront, with cdist = intra-cell distance to the cell seed.
-  // Per-scale-phase trace state: a phase spans from one partition rebuild to
-  // the next (bursts, jumps, and the build charge included).
-  long long phase_rounds_start = sim.rounds();
-  long long phase_messages_start = sim.messages_sent();
-  long long phase_charged_start = 0;
-  auto emit_phase_trace = [&] {
-    if (!options.trace || out.phases == 0) return;
-    options.trace(RoundTrace{
-        "scale-phase", out.phases, sim.rounds() - phase_rounds_start,
-        sim.messages_sent() - phase_messages_start,
-        out.charged_construction_rounds - phase_charged_start});
-    phase_rounds_start = sim.rounds();
-    phase_messages_start = sim.messages_sent();
-    phase_charged_start = out.charged_construction_rounds;
-  };
-
+  // A scale phase spans from one partition rebuild to the next (bursts,
+  // jumps, and the build charge included).
   auto rebuild_partition = [&] {
-    emit_phase_trace();
-    ++out.phases;
-    if (options.fixed_cells != nullptr) {
+    if (parts) meter.close_phase("scale-phase");
+    meter.open_phase();
+    if (fixed_cells != nullptr) {
       // Pinned LDD cells (DESIGN.md §13): one weight-independent clustering
       // for the whole run. cdist = forest distance to the cluster center
       // under w2 — still a real path length (u -> center -> v), so the
       // never-undershoot invariant and exactness-at-quiescence carry over.
-      const LddDecomposition& ldd = *options.fixed_cells;
+      const LddDecomposition& ldd = *fixed_cells;
       require(ldd.parts.part_of_all().size() == static_cast<std::size_t>(n),
               "approx_sssp: fixed cells sized for a different graph");
       parts = std::make_unique<Partition>(ldd.parts);
       parts_raw = parts.get();
-      SourcedShortcut sc = options.source(g, *parts);
+      SourcedShortcut sc = shortcuts(g, *parts);
       agg = std::make_unique<PartwiseAggregator>(g, *parts, *sc.shortcut);
       cdist = ldd_forest_distances(ldd, g, w2);
       part_dirty.assign(static_cast<std::size_t>(parts->num_parts()), 1);
       // A distributed ball growing settles in radius-many BFS rounds.
-      if (sc.fresh) out.charged_construction_rounds += ldd.radius + 1;
+      if (sc.fresh) meter.charge(ldd.radius + 1);
       reached_at_partition = reached;
       return;
     }
     std::vector<char> is_seed(n, 0);
     std::vector<VertexId> seeds;
-    if (options.wavefront_seeds) {
+    if (q.wavefront_seeds) {
       // Wavefront seeds first (evenly spaced along the front by distance),
       // then a deterministic spread over still-unreached terrain so cells
       // exist wherever propagation goes next.
@@ -388,7 +379,7 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
       if (vor.owner[v] != kInvalidVertex) part_of[v] = seed_index[vor.owner[v]];
     parts = std::make_unique<Partition>(std::move(part_of));
     parts_raw = parts.get();
-    SourcedShortcut sc = options.source(g, *parts);
+    SourcedShortcut sc = shortcuts(g, *parts);
     agg = std::make_unique<PartwiseAggregator>(g, *parts, *sc.shortcut);
     cdist = std::move(vor.dist);
     part_dirty.assign(static_cast<std::size_t>(parts->num_parts()), 1);
@@ -396,15 +387,15 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
     // (Bellman-Ford-style) counterpart would take: the forest's hop depth.
     // A cache hit means this partition's cells and shortcut were already
     // paid for in this session — no second charge (DESIGN.md §2).
-    if (sc.fresh) out.charged_construction_rounds += vor.max_hops + 1;
+    if (sc.fresh) meter.charge(vor.max_hops + 1);
     reached_at_partition = reached;
   };
 
   auto need_repartition = [&] {
     if (!parts) return true;
-    if (options.fixed_cells != nullptr) return false;  // cells are pinned
+    if (fixed_cells != nullptr) return false;  // cells are pinned
     if (static_cast<double>(reached - reached_at_partition) >
-        options.repartition_growth * static_cast<double>(n))
+        q.repartition_growth * static_cast<double>(n))
       return true;
     if (frontier.empty()) return false;
     // The wavefront has mostly left the covered region.
@@ -432,6 +423,7 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
     }
     if (!any_dirty) return 0LL;
     ++out.jumps;
+    meter.aggregated();
     std::fill(part_dirty.begin(), part_dirty.end(), 0);
     const AggregationResult res = agg->aggregate_min(sim, init);
     for (PartId p = 0; p < parts->num_parts(); ++p) {
@@ -458,8 +450,7 @@ SsspResult approx_sssp(Simulator& sim, const std::vector<Weight>& w,
         static_cast<int>(std::min<long long>(jump_rounds, 1 << 20)));
     if (!bf_improved && !jump_improved && frontier.empty()) break;
   }
-  emit_phase_trace();
-  out.rounds = sim.rounds() - start;
+  meter.close_phase("scale-phase");
   return out;
 }
 

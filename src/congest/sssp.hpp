@@ -38,81 +38,41 @@
 // mincut): Bellman-Ford rounds and aggregation rounds are honestly
 // simulated; the per-phase Voronoi/cdist construction is computed centrally
 // and charged as the hop depth of the Voronoi forest — the rounds a
-// distributed Bellman-Ford-style cell growth would take — recorded in
-// charged_construction_rounds, and only for FRESH partitions (a session
-// cache hit means the cells and their shortcut were already paid for).
+// distributed Bellman-Ford-style cell growth would take — through the
+// PhaseMeter, and only for FRESH partitions (a session cache hit means the
+// cells and their shortcut were already paid for).
 // Internal engine of Session::solve(ApproxSssp) — user code goes through
 // congest::Session.
 #pragma once
 
 #include "congest/shortcut_source.hpp"
-#include "congest/simulator.hpp"
+#include "congest/workload.hpp"
 #include "core/ldd.hpp"
 #include "graph/algorithms.hpp"
 
 namespace mns::congest {
 
-struct SsspResult {
-  /// Weighted distance from the source under the (possibly rounded) weights;
-  /// kUnreachedWeight for vertices in other components.
-  std::vector<Weight> dist;
-  long long rounds = 0;  ///< measured rounds consumed
-  /// Voronoi cell-growth charges for freshly built partitions (DESIGN.md
-  /// §2-§3); kept out of `rounds` so cached and cold runs measure
-  /// identically. Always 0 for exact_sssp.
-  long long charged_construction_rounds = 0;
-  int phases = 0;       ///< scale phases (re-partitions); approx only
-  long long jumps = 0;  ///< part-wise aggregations performed; approx only
-
-  [[nodiscard]] long long total_rounds() const {
-    return rounds + charged_construction_rounds;
-  }
-};
-
 /// Exact lock-step Bellman-Ford (the baseline). Requires non-negative
-/// weights; vertices unreachable from `source` keep kUnreachedWeight.
-[[nodiscard]] SsspResult exact_sssp(Simulator& sim,
-                                    const std::vector<Weight>& w,
-                                    VertexId source);
-
-struct ApproxSsspOptions {
-  /// Shortcut source for the per-phase wavefront partitions (Session::solve
-  /// wires the session cache in here).
-  ShortcutSource source;
-  /// Approximation slack: returned distances are within (1+epsilon) of true.
-  double epsilon = 0.25;
-  /// Voronoi cells per phase; 0 = ceil(sqrt(n)).
-  VertexId num_seeds = 0;
-  /// Re-partition once this fraction of vertices joined the wavefront since
-  /// the current partition was built (the scale-phase trigger).
-  double repartition_growth = 0.5;
-  /// true: cells are seeded from the current wavefront (adapts to the query;
-  /// partitions differ per source). false: a deterministic stride spread
-  /// that depends only on the network — the SAME partition for every source,
-  /// so a Session's shortcut cache serves k-source query batches with one
-  /// construction (DESIGN.md §5).
-  bool wavefront_seeds = true;
-  /// Non-null: pin the cells to this low-diameter decomposition for the
-  /// whole run (the kLdd partition source, DESIGN.md §13). The cells never
-  /// repartition; cdist becomes the LDD forest distance to the cluster
-  /// center under the rounded weights (real path lengths, so estimates
-  /// still never undershoot), and a fresh construction charges radius + 1
-  /// rounds — once per core, since every run resolves to the same cached
-  /// shortcut. Overrides wavefront_seeds/num_seeds. Must outlive the call.
-  const LddDecomposition* fixed_cells = nullptr;
-  /// Optional per-scale-phase telemetry (stage = "scale-phase").
-  RoundTraceHook trace;
-};
+/// weights; vertices unreachable from q.source keep kUnreachedWeight. No
+/// phases, so `meter` emits nothing.
+[[nodiscard]] SsspPayload exact_sssp(const ExactSssp& q, PhaseMeter& meter);
 
 /// (1+eps)-approximate SSSP: geometric weight rounding + shortcut-based
-/// cluster jumps, run to quiescence (exact under the rounded weights).
-/// Requires strictly positive weights and a connected network (the shortcut
-/// machinery's standing assumption). Guarantees, for every v:
-///   d(v) <= result.dist[v] <= (1+epsilon) d(v).
-[[nodiscard]] SsspResult approx_sssp(Simulator& sim,
-                                     const std::vector<Weight>& w,
-                                     VertexId source,
-                                     const ApproxSsspOptions& options);
+/// cluster jumps over `shortcuts`, run to quiescence (exact under the rounded
+/// weights). Requires strictly positive weights and a connected network
+/// (the shortcut machinery's standing assumption). Guarantees, for every v:
+///   d(v) <= result.dist[v] <= (1+q.epsilon) d(v).
+/// Each partition is one "scale-phase" of `meter`, its build charge
+/// included. Non-null `fixed_cells` pins the cells to that low-diameter
+/// decomposition for the whole run (the kLdd partition source, DESIGN.md
+/// §13): they never repartition, cdist becomes the LDD forest distance to
+/// the cluster center under the rounded weights (real path lengths, so
+/// estimates still never undershoot), and a fresh construction charges
+/// radius + 1 rounds. It overrides q.wavefront_seeds and q.num_seeds and
+/// must outlive the call.
+[[nodiscard]] SsspPayload approx_sssp(
+    const ApproxSssp& q, const ShortcutSource& shortcuts, PhaseMeter& meter,
+    const LddDecomposition* fixed_cells = nullptr);
 
 /// The rounding ladder used by approx_sssp: every weight snapped up to the
 /// next representative, with w <= rounded <= (1+epsilon) w per edge.

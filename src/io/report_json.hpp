@@ -13,7 +13,7 @@
 
 #include <string>
 
-#include "congest/session.hpp"
+#include "congest/workload.hpp"
 
 namespace mns::io {
 

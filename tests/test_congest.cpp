@@ -10,6 +10,8 @@
 #include <set>
 
 #include "congest/aggregation.hpp"
+#include "congest/mincut.hpp"
+#include "congest/mst.hpp"
 #include "congest/session.hpp"
 #include "congest/simulator.hpp"
 #include "core/shortcut_engine.hpp"
@@ -242,10 +244,10 @@ TEST(Mst, StopAtFragmentSizeHaltsEarly) {
   Graph g = gen::grid(10, 10).graph();
   std::vector<Weight> w = gen::unique_random_weights(g, rng);
   Simulator sim(g);
-  congest::MstOptions opt;
-  opt.source = congest::empty_shortcut_source();  // flooding
-  opt.stop_at_fragment_size = 10;
-  congest::MstResult res = congest::boruvka_mst(sim, w, opt);
+  RunReport report;
+  congest::PhaseMeter meter(sim, report);
+  const congest::MstPayload res = congest::boruvka_mst(
+      w, congest::empty_shortcut_source(), meter, /*stop_at_fragment_size=*/10);
   // Not a full MST; every fragment has >= 10 vertices and the chosen edges
   // are a subset of the true MST.
   std::vector<PartId> frag = res.fragment_of;

@@ -7,6 +7,8 @@
 #include <algorithm>
 
 #include "congest/aggregation.hpp"
+#include "congest/mincut.hpp"
+#include "congest/mst.hpp"
 #include "congest/session.hpp"
 #include "congest/simulator.hpp"
 #include "core/shortcut_engine.hpp"

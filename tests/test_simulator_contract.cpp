@@ -333,14 +333,17 @@ TEST(SimulatorContract, BatchRoundBuildsNoInboxes) {
 
   const long long rounds_before = sim.rounds();
   const long long messages_before = sim.messages_sent();
-  const congest::DistributedBfsResult reused = congest::distributed_bfs(sim, 7);
+  congest::RunReport reused_report, fresh_report;
+  congest::PhaseMeter reused_meter(sim, reused_report);
+  const congest::BfsPayload reused =
+      congest::distributed_bfs(congest::Bfs{7}, reused_meter);
   Simulator fresh_sim(g);
-  const congest::DistributedBfsResult fresh =
-      congest::distributed_bfs(fresh_sim, 7);
+  congest::PhaseMeter fresh_meter(fresh_sim, fresh_report);
+  const congest::BfsPayload fresh =
+      congest::distributed_bfs(congest::Bfs{7}, fresh_meter);
   EXPECT_EQ(reused.dist, fresh.dist);
   EXPECT_EQ(reused.parent, fresh.parent);
   EXPECT_EQ(reused.parent_edge, fresh.parent_edge);
-  EXPECT_EQ(reused.rounds, fresh.rounds);
   EXPECT_EQ(sim.rounds() - rounds_before, fresh_sim.rounds());
   EXPECT_EQ(sim.messages_sent() - messages_before, fresh_sim.messages_sent());
 }

@@ -150,12 +150,14 @@ TEST(VertexProgramEngine, PortedPrimitivesMatchAcrossThreadCounts) {
   Simulator seq(g, ExecutionPolicy{1});
   Simulator par(g, ExecutionPolicy{4});
 
-  congest::DistributedBfsResult b1 = congest::distributed_bfs(seq, 0);
-  congest::DistributedBfsResult b2 = congest::distributed_bfs(par, 0);
+  congest::RunReport r1, r2;
+  congest::PhaseMeter m1(seq, r1), m2(par, r2);
+  const congest::BfsPayload b1 = congest::distributed_bfs(congest::Bfs{0}, m1);
+  const congest::BfsPayload b2 = congest::distributed_bfs(congest::Bfs{0}, m2);
   EXPECT_EQ(b1.dist, b2.dist);
   EXPECT_EQ(b1.parent, b2.parent);  // not just distances: identical trees
   EXPECT_EQ(b1.parent_edge, b2.parent_edge);
-  EXPECT_EQ(b1.rounds, b2.rounds);
+  EXPECT_EQ(seq.rounds(), par.rounds());
 
   const RootedTree tree(0, b1.parent, b1.parent_edge);
   std::vector<std::int64_t> values(static_cast<std::size_t>(g.num_vertices()));

@@ -164,12 +164,12 @@ TEST(MisWorkload, SequentialLubyReproducesTheProgramExactly) {
     for (std::uint64_t seed : {1u, 3u, 7u, 99u}) {
       SCOPED_TRACE(fam.name + " seed " + std::to_string(seed));
       congest::Simulator sim(fam.graph);
-      congest::MisOptions options;
-      options.seed = seed;
-      const congest::MisResult got = congest::luby_mis(sim, options);
+      RunReport report;
+      congest::PhaseMeter meter(sim, report);
+      const congest::MisPayload got = congest::luby_mis(congest::Mis{seed}, meter);
       const SequentialLuby want = sequential_luby(fam.graph, seed);
       EXPECT_EQ(got.in_mis, want.in_mis);
-      EXPECT_EQ(got.phases, want.phases);
+      EXPECT_EQ(report.phases, want.phases);
     }
   }
 }
