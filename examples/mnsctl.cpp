@@ -597,15 +597,6 @@ int cmd_serve(const Args& args) {
 
 // ------------------------------------------------------------------- dist --
 
-/// Decorrelates the per-rank fault adversaries (same derivation as
-/// transport::make_loopback_cluster so `dist` and the loopback tests drive
-/// identical fault laws for a given --fault-seed).
-std::uint64_t fault_seed_for_rank(std::uint64_t seed, int rank) {
-  const std::uint64_t s =
-      seed ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(rank) + 1));
-  return s == 0 ? 1 : s;
-}
-
 /// FNV digest of the canonical report JSON with the wall clock zeroed —
 /// what the replicas all-gather to prove they computed the SAME answer.
 std::uint64_t report_digest(congest::RunReport report) {
@@ -636,7 +627,7 @@ int run_dist_rank(const Args& args, const std::string& workload, int rank,
   faults.dup_rate = args.dup_rate;
   faults.reorder_rate = args.reorder_rate;
   if (faults.active()) {
-    faults.seed = fault_seed_for_rank(
+    faults.seed = transport::fault_seed_for_rank(
         static_cast<std::uint64_t>(args.fault_seed), rank);
     net = std::make_unique<transport::FaultInjectingTransport>(std::move(net),
                                                                faults);

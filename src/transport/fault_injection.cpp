@@ -6,6 +6,12 @@
 
 namespace mns::transport {
 
+std::uint64_t fault_seed_for_rank(std::uint64_t seed, int rank) {
+  const std::uint64_t s =
+      seed ^ (0x9e3779b97f4a7c15ull * (static_cast<std::uint64_t>(rank) + 1));
+  return s == 0 ? 1 : s;
+}
+
 FaultInjectingTransport::FaultInjectingTransport(
     std::unique_ptr<DatagramTransport> inner, FaultConfig config)
     : inner_(std::move(inner)), config_(config), state_(config.seed) {
@@ -52,9 +58,7 @@ void FaultInjectingTransport::send(int to_rank,
     // datagram sent while they wait — release after a seeded number of
     // later operations.
     const std::uint64_t hold =
-        1 + next_u64() % static_cast<std::uint64_t>(
-                             config_.max_hold_ops > 0 ? config_.max_hold_ops
-                                                      : 1);
+        1 + next_u64() % static_cast<std::uint64_t>(kMaxHoldOps);
     held_.push_back(Held{to_rank,
                          std::vector<std::uint8_t>(datagram.begin(),
                                                    datagram.end()),

@@ -25,19 +25,27 @@
 
 namespace mns::transport {
 
+/// A held datagram is released after 1..kMaxHoldOps later operations.
+inline constexpr int kMaxHoldOps = 4;
+
 struct FaultConfig {
   std::uint64_t seed = 1;
   double drop_rate = 0.0;     ///< P(outbound datagram silently vanishes)
   double dup_rate = 0.0;      ///< P(outbound datagram is sent twice)
   double reorder_rate = 0.0;  ///< P(datagram is held back, then released
-                              ///  after 1..max_hold_ops later operations —
+                              ///  after 1..kMaxHoldOps later operations —
                               ///  delaying it past its successors)
-  int max_hold_ops = 4;
 
   [[nodiscard]] bool active() const noexcept {
     return drop_rate > 0.0 || dup_rate > 0.0 || reorder_rate > 0.0;
   }
 };
+
+/// Rank `rank`'s fault seed in a cluster faulted from one `seed`: every
+/// rank's adversary is decorrelated from the others', and the seed is never
+/// 0 (DESIGN.md §11). make_loopback_cluster and `mnsctl dist` both use it,
+/// so one --fault-seed drives the same fault laws in each.
+[[nodiscard]] std::uint64_t fault_seed_for_rank(std::uint64_t seed, int rank);
 
 class FaultInjectingTransport final : public DatagramTransport {
  public:

@@ -26,10 +26,7 @@ std::vector<std::unique_ptr<SocketTransport>> make_loopback_cluster(
         std::move(sockets[static_cast<std::size_t>(r)]);
     if (faults.active()) {
       FaultConfig per_rank = faults;
-      per_rank.seed =
-          faults.seed ^ (0x9e3779b97f4a7c15ull *
-                         (static_cast<std::uint64_t>(r) + 1));
-      if (per_rank.seed == 0) per_rank.seed = 1;
+      per_rank.seed = fault_seed_for_rank(faults.seed, r);
       net = std::make_unique<FaultInjectingTransport>(std::move(net),
                                                       per_rank);
     }

@@ -105,8 +105,7 @@ SocketTransport::SocketTransport(const Graph& graph,
                          std::to_string(config_.ranks) + ")");
   if (config_.ranks > 1 && net_ == nullptr)
     throw TransportError("SocketTransport: null datagram transport");
-  if (config_.window < 1 || config_.initial_timeout_ms < 1 ||
-      config_.max_timeout_ms < config_.initial_timeout_ms ||
+  if (config_.window < 1 || config_.max_timeout_ms < kInitialTimeoutMs ||
       config_.stall_timeout_ms < config_.max_timeout_ms)
     throw TransportError("SocketTransport: bad window/timeout configuration");
   links_.resize(static_cast<std::size_t>(config_.ranks));
@@ -193,7 +192,7 @@ void SocketTransport::send_reliable(int peer, std::uint8_t type,
   Link& link = links_[static_cast<std::size_t>(peer)];
   SentPacket packet;
   packet.seq = link.next_seq++;
-  packet.timeout_ms = config_.initial_timeout_ms;
+  packet.timeout_ms = kInitialTimeoutMs;
   packet.deadline_ms = 0;
   packet.bytes = std::move(bytes);
   store_header(packet.bytes.data(), type, config_.rank, count, packet.seq,

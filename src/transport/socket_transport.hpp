@@ -9,7 +9,7 @@
 //     that fall inside the window (anything further ahead is dropped);
 //   * the sender keeps at most `window` unacked packets in flight (excess
 //     is queued and pumped as ACKs arrive) and retransmits a packet whose
-//     ACK is overdue, with exponential backoff from initial_timeout_ms to
+//     ACK is overdue, with exponential backoff from kInitialTimeoutMs to
 //     max_timeout_ms;
 //   * ACKs ride on the next reliable packet to the peer. A standalone ACK
 //     goes out only for a duplicate that no reliable packet has acked yet,
@@ -51,15 +51,17 @@
 
 namespace mns::transport {
 
+/// First retransmit of a packet fires after this long without an ACK ...
+inline constexpr int kInitialTimeoutMs = 2;
+
 struct SocketTransportConfig {
   int rank = 0;
   int ranks = 1;
   /// Per-peer unacked-packet cap; excess packets queue until ACKs arrive.
   /// A received packet this far or further ahead of delivery is dropped.
   int window = 64;
-  /// First retransmit fires after this long without an ACK ...
-  int initial_timeout_ms = 2;
-  /// ... doubling per retransmit up to this ceiling.
+  /// ... doubling per retransmit (from kInitialTimeoutMs) up to this
+  /// ceiling.
   int max_timeout_ms = 256;
   /// No datagram received for this long while a barrier is incomplete =>
   /// the peer is gone; throw instead of wedging the round loop.

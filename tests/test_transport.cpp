@@ -268,6 +268,14 @@ TEST(TransportFaults, SeededDropDupReorderConvergesToIdenticalReports) {
   }
 }
 
+TEST(TransportFaults, PerRankSeedIsTheDocumentedDerivation) {
+  // DESIGN.md §11: seed ^ 0x9e3779b97f4a7c15 * (rank + 1), forced nonzero.
+  constexpr std::uint64_t kGolden = 0x9e3779b97f4a7c15ull;
+  EXPECT_EQ(transport::fault_seed_for_rank(42, 0), 42 ^ kGolden);
+  EXPECT_EQ(transport::fault_seed_for_rank(42, 2), 42 ^ (3 * kGolden));
+  EXPECT_EQ(transport::fault_seed_for_rank(kGolden, 0), 1u);
+}
+
 // ------------------------------------------------- untrusted datagrams --
 
 /// Decorates rank 0's datagram layer: every other receive() serves a forged
