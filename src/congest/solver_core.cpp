@@ -1,6 +1,7 @@
 #include "congest/solver_core.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -62,12 +63,20 @@ SolverCore::SolverCore(std::shared_ptr<const Graph> g,
 }
 
 const RootedTree& SolverCore::tree() const {
+  // A failure is kept and rethrown, never thrown out of call_once: under
+  // ThreadSanitizer's pthread_once a flag whose callable threw is never
+  // released, so the next call would block forever.
   std::call_once(tree_once_, [&] {
-    RootedTree t = config_.tree(*g_);
-    if (const std::string defect = tree_defect(*g_, t); !defect.empty())
-      throw InvariantViolation("SolverCore: tree factory's " + defect);
-    tree_.emplace(std::move(t));
+    try {
+      RootedTree t = config_.tree(*g_);
+      if (const std::string defect = tree_defect(*g_, t); !defect.empty())
+        throw InvariantViolation("SolverCore: tree factory's " + defect);
+      tree_.emplace(std::move(t));
+    } catch (...) {
+      tree_error_ = std::current_exception();
+    }
   });
+  if (tree_error_) std::rethrow_exception(tree_error_);
   return *tree_;
 }
 

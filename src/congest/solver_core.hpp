@@ -37,6 +37,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <exception>
 #include <list>
 #include <map>
 #include <memory>
@@ -147,7 +148,8 @@ class SolverCore {
   /// The core spanning tree, built on first use (std::call_once — safe to
   /// race) and immutable afterwards. Throws InvariantViolation naming the
   /// vertex if the factory's tree does not span the graph or a parent edge
-  /// does not join a vertex to its parent.
+  /// does not join a vertex to its parent; a failed build is not retried,
+  /// every later call rethrows its error.
   [[nodiscard]] const RootedTree& tree() const;
   /// The core's low-diameter decomposition (core/ldd.hpp), built on first
   /// use (std::call_once) and immutable afterwards. Weight-independent: one
@@ -236,6 +238,7 @@ class SolverCore {
 
   mutable std::once_flag tree_once_;
   mutable std::optional<RootedTree> tree_;
+  mutable std::exception_ptr tree_error_;  ///< the factory's failure, if any
   mutable std::once_flag ldd_once_;
   mutable std::optional<LddDecomposition> ldd_;
 

@@ -87,6 +87,12 @@ TEST(DistributedBfs, RoundsTrackEccentricity) {
   EXPECT_EQ(t.height(), ref.max_distance());
 }
 
+TEST(DistributedBfs, RootOutOfRangeThrows) {
+  Session s = greedy_session(gen::grid(3, 3).graph());
+  EXPECT_THROW((void)s.solve(congest::Bfs{9}), InvariantViolation);
+  EXPECT_THROW((void)s.solve(congest::Bfs{-1}), InvariantViolation);
+}
+
 TEST(Aggregation, SinglePartFloodsMin) {
   Graph g = gen::cycle(10);
   Partition p = Partition::from_parts(10, {{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}});

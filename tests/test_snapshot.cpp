@@ -318,7 +318,8 @@ TEST(SnapshotCorruption, MissingFileThrowsTyped) {
 // The round engine sends along a tree's parent edges unchecked, so restore
 // must refuse a tree whose parent edge does not join a vertex to its parent
 // (the sentinel kInvalidEdge, or any other in-range edge), naming the
-// vertex, through both front doors.
+// vertex, through both front doors. A parent array that is no tree is a
+// SnapshotError too.
 TEST(SnapshotCorruption, TreeParentEdgeMustJoinVertexToParent) {
   Session s(gen::grid(4, 4).graph());
   const std::string path = "snapshot_bad_tree.mns";
@@ -344,6 +345,10 @@ TEST(SnapshotCorruption, TreeParentEdgeMustJoinVertexToParent) {
     EXPECT_THROW((void)serve::QueryServer::from_snapshot(path),
                  io::SnapshotError);
   }
+  io::Snapshot cyclic = good;
+  cyclic.tree->parent[static_cast<std::size_t>(v)] = v;
+  io::write_snapshot(cyclic, path);
+  EXPECT_THROW((void)Session::restore(path), io::SnapshotError);
   std::remove(path.c_str());
 }
 

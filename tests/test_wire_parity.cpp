@@ -20,14 +20,15 @@
 // shows that the answers stayed put, and the run's RoundTrace stream (the
 // callback count and a digest of every callback's stage, index, rounds,
 // messages and charge). Only the width-1 run sets the trace hook, so every
-// pin also checks a traced run against an untraced one. They depend on libstdc++'s std::shuffle and
-// distributions, like bench/baselines/ (DESIGN.md §8). The Wide* and
-// *Aggregator* cases pin a direct PartwiseAggregator the same way: edges
-// carrying more than 64 parts (multi-word dirty masks), reuse of one
-// aggregator across calls, and recovery after a run that threw. At width 1
-// the aggregation flood consumes each round as one batch in send order, at
-// width 4 as per-vertex inboxes (vertex_program.hpp), so every width-1/4 pin
-// checks both delivery forms against the same digests.
+// pin also checks a traced run against an untraced one. They depend on
+// libstdc++'s std::shuffle and distributions, like bench/baselines/
+// (DESIGN.md §8). The Wide* and *Aggregator* cases pin a direct
+// PartwiseAggregator the same way: edges carrying more than 64 parts
+// (multi-word dirty masks), reuse of one aggregator across calls, and
+// recovery after a run that threw. At width 1 the aggregation flood
+// consumes each round as one batch in send order, at width 4 as per-vertex
+// inboxes (vertex_program.hpp), so every width-1/4 pin checks both delivery
+// forms against the same digests.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -166,7 +166,8 @@ TEST(MisWorkload, SequentialLubyReproducesTheProgramExactly) {
       congest::Simulator sim(fam.graph);
       RunReport report;
       congest::PhaseMeter meter(sim, report);
-      const congest::MisPayload got = congest::luby_mis(congest::Mis{seed}, meter);
+      const congest::MisPayload got =
+          congest::luby_mis(congest::Mis{seed}, meter);
       const SequentialLuby want = sequential_luby(fam.graph, seed);
       EXPECT_EQ(got.in_mis, want.in_mis);
       EXPECT_EQ(report.phases, want.phases);
