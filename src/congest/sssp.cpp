@@ -98,7 +98,8 @@ struct BellmanFordProgram {
         const PartId p = (*parts)->part_of(v);
         if (p != kNoPart) woken_parts[ctx.shard].push_back(p);
       }
-      if (!in_frontier[static_cast<std::size_t>(v)]) {
+      // A vertex whose only edge is via[v] would send nothing: not queued.
+      if (!in_frontier[static_cast<std::size_t>(v)] && g.degree(v) > 1) {
         in_frontier[static_cast<std::size_t>(v)] = 1;
         next[ctx.shard].push_back(v);
       }
@@ -250,7 +251,10 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
   // re-flooding its (possibly long-settled) cell would buy nothing and cost
   // congestion rounds. Jump-applied improvements do NOT re-dirty their own
   // part: they are base + cdist[u], so dist[u] + cdist[u] >= base, and the
-  // part minimum cannot have dropped.
+  // part minimum cannot have dropped. The aggregator (one per partition)
+  // keeps what its members converged to, and estimates only fall, so a
+  // jump floods only the members that fell below their part's last minimum
+  // (aggregate_min_from_last) and still gets the fresh minimum.
   std::unique_ptr<Partition> parts;
   const Partition* parts_raw = nullptr;
   std::unique_ptr<PartwiseAggregator> agg;
@@ -424,14 +428,17 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
     if (!any_dirty) return 0LL;
     ++out.jumps;
     meter.aggregated();
-    std::fill(part_dirty.begin(), part_dirty.end(), 0);
-    const AggregationResult res = agg->aggregate_min(sim, init);
+    const AggregationResult res = agg->aggregate_min_from_last(sim, init);
     for (PartId p = 0; p < parts->num_parts(); ++p) {
-      if (res.min_of_part[p] == kNoValue) continue;
+      // A clean part's result is the minimum its members already relaxed to.
+      if (!part_dirty[static_cast<std::size_t>(p)] ||
+          res.min_of_part[p] == kNoValue)
+        continue;
       const Weight base = res.min_of_part[p].value;
       for (VertexId u : parts->members(p))
         *improved |= jump_relax(u, base + cdist[u]);
     }
+    std::fill(part_dirty.begin(), part_dirty.end(), 0);
     return res.rounds;
   };
 
