@@ -11,9 +11,12 @@
 // the report cannot be written.
 //
 // Set MNS_BENCH_SMOKE=1 to run only the smallest E15 instance per family
-// (CI); E11-E13 always run in full.
+// (CI); E11-E13 always run in full. At full depth main also exits nonzero
+// unless E15's claim holds: vs_bellman_ford > 1 at each family's largest n.
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -246,8 +249,10 @@ bool e13_aggregation(bench::JsonReport& report) {
 // instance is weighted so that a long cheap route forces Bellman-Ford to pay
 // one round per hop while the hop diameter stays small; cluster jumps leap
 // whole Voronoi cells. Checked against Dijkstra: exact for Bellman-Ford,
-// within [d, (1+eps) d] for the approximation.
-bool e15_case(bench::JsonReport& report, const bench::FamilyInstance& inst) {
+// within [d, (1+eps) d] for the approximation. Sets `vs_bellman_ford` to
+// the row's round ratio.
+bool e15_case(bench::JsonReport& report, const bench::FamilyInstance& inst,
+              double& vs_bellman_ford) {
   const Graph& g = inst.graph;
   const VertexId source = 0;
   congest::Session session = bench::make_session(g, inst.cert);
@@ -264,24 +269,46 @@ bool e15_case(bench::JsonReport& report, const bench::FamilyInstance& inst) {
   const congest::RunReport ap = session.solve(query);
   const bench::ApproxCheck approx = bench::check_approx_sssp(
       g, inst.weights, source, ap.sssp().dist);
+  vs_bellman_ford = static_cast<double>(bf.total_rounds()) /
+                    static_cast<double>(ap.total_rounds());
   return verdict(
       row(report, "E15").set("family", inst.family).set("n", g.num_vertices())
           .set("epsilon", query.epsilon)
           .set("rounds_bellman_ford", bf.total_rounds())
           .set("messages_bellman_ford", bf.messages)
-          .set("vs_bellman_ford", static_cast<double>(bf.total_rounds()) /
-                                      static_cast<double>(ap.total_rounds()))
+          .set("vs_bellman_ford", vs_bellman_ford)
           .set_run(ap).set("jumps", ap.aggregations)
           .set("max_ratio", approx.max_ratio),
       exact_ok && approx.ok);
 }
 
+// E15's claim: the (1+eps) SSSP takes fewer rounds than Bellman-Ford at the
+// largest n of every family. Small instances may legitimately lose (the
+// smallest planar row does), so a smoke run, which keeps only each family's
+// smallest instance, is exempt.
 bool e15_sssp(bench::JsonReport& report, bool smoke) {
   bench::header("E15: SSSP rounds ((1+eps) vs Bellman-Ford)");
   bool ok = true;
+  // Per family: (n, vs_bellman_ford) of its largest instance so far.
+  std::map<std::string, std::pair<VertexId, double>> largest;
   for (const bench::FamilyInstance& inst : bench::family_instances(
-           {16, 32, 64}, {256, 1024, 4096}, {16, 32, 64}, {4, 16, 64}, smoke))
-    ok &= e15_case(report, inst);
+           {16, 32, 64}, {256, 1024, 4096}, {16, 32, 64}, {4, 16, 64},
+           smoke)) {
+    double vs_bellman_ford = 0;
+    ok &= e15_case(report, inst, vs_bellman_ford);
+    largest[inst.family] = std::max(
+        largest[inst.family],
+        std::pair{inst.graph.num_vertices(), vs_bellman_ford});
+  }
+  if (smoke) return ok;
+  for (const auto& [family, at] : largest)
+    if (!(at.second > 1.0)) {
+      std::fprintf(stderr,
+                   "E15 %s: vs_bellman_ford = %.3f at its largest n = %d, "
+                   "not above 1\n",
+                   family.c_str(), at.second, static_cast<int>(at.first));
+      ok = false;
+    }
   return ok;
 }
 
