@@ -216,23 +216,18 @@ struct PartwiseAggregator::Program {
         delivered(a.ws_.delivered.data()),
         receivers(a.ws_.receivers),
         tracker(t) {
-    // Initially every seeding member's own participation is dirty outward,
-    // activated in ascending (edge, part, side) order.
+    // Initially every participating (node, edge, part) with a finite value
+    // is dirty outward, activated in ascending (edge, part, side) order.
     const Graph& g = *a.g_;
-    const char* seeded = a.ws_.seeded.data();
-    const std::uint32_t* own_slot = a.own_slot_.data();
     for (EdgeId e = 0; e < g.num_edges(); ++e) {
       const std::size_t ei = static_cast<std::size_t>(e);
       const Edge& ed = g.edge(e);
       for (std::uint32_t i = poe_off[ei]; i < poe_off[ei + 1]; ++i)
-        for (std::uint32_t side = 0; side < 2; ++side) {
-          const std::size_t x = static_cast<std::size_t>(side == 0 ? ed.u
-                                                                   : ed.v);
-          if (seeded[x] && owner[2 * std::size_t{i} + side] == own_slot[x])
-            mark_dirty(static_cast<VertexId>(x),
+        for (std::uint32_t side = 0; side < 2; ++side)
+          if (!(state[owner[2 * std::size_t{i} + side]] == kInfinity))
+            mark_dirty(side == 0 ? ed.u : ed.v,
                        2 * static_cast<std::uint32_t>(e) + side,
                        i - poe_off[ei]);
-        }
     }
     for (VertexId v = 0; v < g.num_vertices(); ++v)
       if (active_count[static_cast<std::size_t>(v)] != 0) tracker.seed(v);
@@ -359,17 +354,6 @@ struct PartwiseAggregator::Program {
 
 AggregationResult PartwiseAggregator::aggregate_min(
     Simulator& sim, const std::vector<AggValue>& initial) {
-  // Nothing held: every participation starts at +inf, and every member
-  // with a finite value seeds.
-  ws_.held = false;
-  return aggregate_min_from_last(sim, initial);
-}
-
-AggregationResult PartwiseAggregator::aggregate_min_from_last(
-    Simulator& sim, const std::vector<AggValue>& initial) {
-  // Cleared first, so a call that throws anywhere leaves nothing held.
-  const bool keep_state = ws_.held;
-  ws_.held = false;
   const Graph& g = *g_;
   const Partition& parts = *parts_;
   const VertexId n = g.num_vertices();
@@ -377,8 +361,7 @@ AggregationResult PartwiseAggregator::aggregate_min_from_last(
           "aggregate_min: initial size mismatch");
 
   const std::size_t slots = 2 * static_cast<std::size_t>(g.num_edges());
-  if (!keep_state) ws_.state.assign(participations_, kInfinity);
-  ws_.seeded.assign(static_cast<std::size_t>(n), 0);
+  ws_.state.assign(participations_, kInfinity);
   ws_.dirty.assign(word_off_[slots], 0);
   ws_.cursor.assign(slots, 0);
   ws_.active.resize(slots);
@@ -396,10 +379,7 @@ AggregationResult PartwiseAggregator::aggregate_min_from_last(
     return ws_.state[own_slot_[static_cast<std::size_t>(v)]];
   };
   for (VertexId v = 0; v < n; ++v)
-    if (parts.part_of(v) != kNoPart && initial[v] < own(v)) {
-      own(v) = initial[v];
-      ws_.seeded[static_cast<std::size_t>(v)] = 1;
-    }
+    if (parts.part_of(v) != kNoPart) own(v) = initial[v];
 
   long long start = sim.rounds();
   Program prog(*this, *ws_.tracker);
@@ -419,7 +399,6 @@ AggregationResult PartwiseAggregator::aggregate_min_from_last(
       require(own(v) == out.min_of_part[p],
               "aggregate_min: member did not converge to the part minimum");
   }
-  ws_.held = true;
   return out;
 }
 

@@ -16,9 +16,7 @@
 // vertex_program.hpp). An improvement is never queued back along the edge
 // it arrived on: the neighbour there already holds at most that value
 // (DESIGN.md §9, no echo). aggregate_min reuses one per-run workspace
-// across calls, frontier bookkeeping included; aggregate_min_from_last also
-// keeps the values the last completed call converged to, so a caller whose
-// values only fall floods only what changed.
+// across calls, frontier bookkeeping included.
 #pragma once
 
 #include <cstddef>
@@ -66,17 +64,6 @@ class PartwiseAggregator {
   [[nodiscard]] AggregationResult aggregate_min(
       Simulator& sim, const std::vector<AggValue>& initial);
 
-  /// aggregate_min from the last call's final state: every participation
-  /// starts from the value it held when the last completed call on this
-  /// aggregator reached quiescence (+inf if none has completed, or if the
-  /// last call threw), and only members whose `initial` lies below what they
-  /// hold seed the flood. So part p's result is the minimum of every value
-  /// its members were passed since then; when those values only fall from
-  /// call to call (+inf aside), it equals a fresh aggregate_min's on
-  /// `initial`, and a call in which no member fell sends nothing.
-  [[nodiscard]] AggregationResult aggregate_min_from_last(
-      Simulator& sim, const std::vector<AggValue>& initial);
-
   /// Number of (node, part) participation pairs — a size/memory metric.
   [[nodiscard]] std::size_t participations() const noexcept {
     return participations_;
@@ -99,18 +86,11 @@ class PartwiseAggregator {
     std::uint32_t receiver;
   };
 
-  /// The per-run state, reset at the start of every call (a run that threw
-  /// leaves nothing behind) except `state` after a completed one, which
-  /// aggregate_min_from_last starts from. Its sizes are fixed by the tables
+  /// The per-run state, reset at the start of every aggregate_min (a run
+  /// that threw leaves nothing behind). Its sizes are fixed by the tables
   /// and the simulator's shard count, so it allocates only on the first.
   struct Workspace {
     std::vector<AggValue> state;       ///< per participation
-    /// True while `state` is what the last call converged to: set when a
-    /// call completes, cleared when one starts.
-    bool held = false;
-    /// Per vertex: its own value fell below what it held, so its own
-    /// participation seeds this call's flood.
-    std::vector<char> seeded;
     std::vector<std::uint64_t> dirty;  ///< packed masks, word_off_ layout
     std::vector<std::uint32_t> cursor;        ///< per directed slot
     std::vector<std::uint32_t> active;        ///< v's list at active_base_[v]

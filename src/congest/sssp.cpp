@@ -251,15 +251,16 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
   // re-flooding its (possibly long-settled) cell would buy nothing and cost
   // congestion rounds. Jump-applied improvements do NOT re-dirty their own
   // part: they are base + cdist[u], so dist[u] + cdist[u] >= base, and the
-  // part minimum cannot have dropped. The aggregator (one per partition)
-  // keeps what its members converged to, and estimates only fall, so a
-  // jump floods only the members that fell below their part's last minimum
-  // (aggregate_min_from_last) and still gets the fresh minimum.
+  // part minimum cannot have dropped. Within one partition estimates only
+  // fall, so a jump floods only the members below their part's last
+  // minimum (`last_min`), which every member already relaxed through; a
+  // part with no such member keeps that minimum and is not relaxed again.
   std::unique_ptr<Partition> parts;
   const Partition* parts_raw = nullptr;
   std::unique_ptr<PartwiseAggregator> agg;
   std::vector<Weight> cdist;
   std::vector<char> part_dirty;
+  std::vector<AggValue> last_min;
 
   // Bounded event-driven Bellman-Ford burst (the same program as
   // exact_sssp, capped at `max_rounds`; reused across bursts).
@@ -310,6 +311,7 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
       agg = std::make_unique<PartwiseAggregator>(g, *parts, *sc.shortcut);
       cdist = ldd_forest_distances(ldd, g, w2);
       part_dirty.assign(static_cast<std::size_t>(parts->num_parts()), 1);
+      last_min.assign(static_cast<std::size_t>(parts->num_parts()), kNoValue);
       // A distributed ball growing settles in radius-many BFS rounds.
       if (sc.fresh) meter.charge(ldd.radius + 1);
       reached_at_partition = reached;
@@ -387,6 +389,7 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
     agg = std::make_unique<PartwiseAggregator>(g, *parts, *sc.shortcut);
     cdist = std::move(vor.dist);
     part_dirty.assign(static_cast<std::size_t>(parts->num_parts()), 1);
+    last_min.assign(static_cast<std::size_t>(parts->num_parts()), kNoValue);
     // Charge the centralized cell growth as the rounds its distributed
     // (Bellman-Ford-style) counterpart would take: the forest's hop depth.
     // A cache hit means this partition's cells and shortcut were already
@@ -422,23 +425,22 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
       if (out.dist[v] == kUnreachedWeight) continue;
       const PartId p = parts->part_of(v);
       if (p == kNoPart || !part_dirty[static_cast<std::size_t>(p)]) continue;
-      init[v] = AggValue{out.dist[v] + cdist[v], v};
       any_dirty = true;
+      const AggValue x{out.dist[v] + cdist[v], v};
+      if (x < last_min[static_cast<std::size_t>(p)]) init[v] = x;
     }
     if (!any_dirty) return 0LL;
     ++out.jumps;
     meter.aggregated();
-    const AggregationResult res = agg->aggregate_min_from_last(sim, init);
+    std::fill(part_dirty.begin(), part_dirty.end(), 0);
+    const AggregationResult res = agg->aggregate_min(sim, init);
     for (PartId p = 0; p < parts->num_parts(); ++p) {
-      // A clean part's result is the minimum its members already relaxed to.
-      if (!part_dirty[static_cast<std::size_t>(p)] ||
-          res.min_of_part[p] == kNoValue)
-        continue;
+      if (res.min_of_part[p] == kNoValue) continue;
+      last_min[static_cast<std::size_t>(p)] = res.min_of_part[p];
       const Weight base = res.min_of_part[p].value;
       for (VertexId u : parts->members(p))
         *improved |= jump_relax(u, base + cdist[u]);
     }
-    std::fill(part_dirty.begin(), part_dirty.end(), 0);
     return res.rounds;
   };
 

@@ -15,7 +15,6 @@
 #include "gen/basic.hpp"
 #include "gen/planar.hpp"
 #include "graph/algorithms.hpp"
-#include "transport/transport.hpp"
 
 namespace mns {
 namespace {
@@ -200,159 +199,6 @@ TEST(AggregationClosedForm, RandomTreeTakesTheRootsEccentricity) {
       EXPECT_EQ(c.rounds, bfs(g, root).max_distance());
     }
   }
-}
-
-// ------------------------------------------- aggregate_min_from_last
-//
-// The held-state entry on random planar graphs, Voronoi partitions and
-// greedy or Steiner shortcuts: with values that only fall, every call must
-// return what a fresh aggregate_min returns on the same values.
-
-constexpr AggValue kInf{std::numeric_limits<std::int64_t>::max(),
-                        std::numeric_limits<std::int32_t>::max()};
-
-struct RandomCase {
-  Graph g;
-  Partition parts;
-  Shortcut sc;
-};
-
-RandomCase random_case(std::uint64_t seed) {
-  Rng rng(seed);
-  Graph g = gen::random_maximal_planar(
-                static_cast<VertexId>(150 + 50 * seed), rng)
-                .graph();
-  Partition parts =
-      voronoi_partition(g, static_cast<int>(4 + 3 * seed), rng);
-  const RootedTree t = RootedTree::from_bfs(bfs(g, 0), 0);
-  Shortcut sc = ShortcutEngine::global()
-                    .build(g, t, parts,
-                           seed % 2 == 0 ? greedy_certificate()
-                                         : steiner_certificate())
-                    .shortcut;
-  return {std::move(g), std::move(parts), std::move(sc)};
-}
-
-/// Hash values with about a quarter of the vertices at +inf.
-std::vector<AggValue> some_unset(VertexId n, Rng& rng) {
-  std::vector<AggValue> values = hash_values(n);
-  for (AggValue& x : values)
-    if (rng() % 4 == 0) x = kInf;
-  return values;
-}
-
-/// Lowers about a third of the values, +inf ones included.
-void fall(std::vector<AggValue>& values, Rng& rng) {
-  for (std::size_t v = 0; v < values.size(); ++v) {
-    if (rng() % 3 != 0) continue;
-    const std::int64_t top = values[v] == kInf ? 1000003 : values[v].value;
-    values[v] = {top - 1 - static_cast<std::int64_t>(rng() % 50000),
-                 static_cast<std::int32_t>(v)};
-  }
-}
-
-/// One call on a fresh aggregator and simulator: the reference result.
-congest::AggregationResult fresh_min(const RandomCase& c,
-                                     const std::vector<AggValue>& values) {
-  congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
-  congest::Simulator sim(c.g);
-  return agg.aggregate_min(sim, values);
-}
-
-TEST(AggregationFromLast, FallingValuesGiveTheFreshMinimum) {
-  for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
-    SCOPED_TRACE(seed);
-    const RandomCase c = random_case(seed);
-    Rng rng(seed + 100);
-    std::vector<AggValue> values = some_unset(c.g.num_vertices(), rng);
-    congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
-    congest::Simulator sim(c.g);
-    for (int call = 0; call < 6; ++call) {
-      SCOPED_TRACE(call);
-      const long long before = sim.messages_sent();
-      const congest::AggregationResult res =
-          agg.aggregate_min_from_last(sim, values);
-      const congest::AggregationResult ref = fresh_min(c, values);
-      EXPECT_EQ(res.min_of_part, ref.min_of_part);
-      if (call == 0) {  // nothing held yet: the fresh flood itself
-        EXPECT_EQ(res.rounds, ref.rounds);
-        EXPECT_GT(sim.messages_sent() - before, 0);
-      }
-      fall(values, rng);
-    }
-  }
-}
-
-TEST(AggregationFromLast, NothingBelowWhatIsHeldSendsNothing) {
-  for (std::uint64_t seed : {1u, 2u}) {
-    SCOPED_TRACE(seed);
-    const RandomCase c = random_case(seed);
-    Rng rng(seed + 200);
-    std::vector<AggValue> values = some_unset(c.g.num_vertices(), rng);
-    congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
-    congest::Simulator sim(c.g);
-    const congest::AggregationResult first = agg.aggregate_min(sim, values);
-    ASSERT_GT(first.rounds, 0);
-    // The same values, then every value raised or unset: no member lies
-    // below what it holds, so no round and no message, and each part
-    // still reports what its members hold.
-    std::vector<AggValue> raised = values;
-    for (AggValue& x : raised)
-      if (!(x == kInf)) x.value += 7;
-    raised[0] = kInf;
-    for (const std::vector<AggValue>* in : {&values, &raised}) {
-      const long long rounds = sim.rounds();
-      const long long messages = sim.messages_sent();
-      const congest::AggregationResult res =
-          agg.aggregate_min_from_last(sim, *in);
-      EXPECT_EQ(res.rounds, 0);
-      EXPECT_EQ(sim.rounds(), rounds);
-      EXPECT_EQ(sim.messages_sent(), messages);
-      EXPECT_EQ(res.min_of_part, first.min_of_part);
-    }
-  }
-}
-
-/// Rewrites the tag of one round's first payload, as a corrupt link would;
-/// rounds are counted from its own first exchange.
-class TamperTransport final : public transport::Transport {
- public:
-  explicit TamperTransport(long long round) : round_(round) {}
-  void exchange(const transport::RoundTraffic& t) override {
-    if (++seen_ == round_ && t.size() > 0) ++t.payload[0].tag;
-  }
-
- private:
-  long long round_;
-  long long seen_ = 0;
-};
-
-TEST(AggregationFromLast, ACallThatThrewLeavesNothingHeld) {
-  const RandomCase c = random_case(2);
-  Rng rng(300);
-  std::vector<AggValue> low = some_unset(c.g.num_vertices(), rng);
-  // Every value above every one of `low`: were `low`'s minima still held,
-  // they would win every part.
-  std::vector<AggValue> high = hash_values(c.g.num_vertices());
-  for (AggValue& x : high) x.value += 2000000;
-  congest::PartwiseAggregator agg(c.g, c.parts, c.sc);
-  congest::Simulator sim(c.g);
-  (void)agg.aggregate_min_from_last(sim, low);
-  fall(low, rng);
-  {
-    TamperTransport corrupt(2);
-    sim.set_transport(&corrupt);
-    EXPECT_THROW((void)agg.aggregate_min_from_last(sim, low),
-                 InvariantViolation);
-    sim.set_transport(nullptr);
-  }
-  const long long before = sim.rounds();
-  const congest::AggregationResult res =
-      agg.aggregate_min_from_last(sim, high);
-  const congest::AggregationResult ref = fresh_min(c, high);
-  EXPECT_EQ(res.min_of_part, ref.min_of_part);
-  EXPECT_EQ(res.rounds, ref.rounds);
-  EXPECT_EQ(sim.rounds() - before, ref.rounds);
 }
 
 class QualityMonotonicity : public ::testing::TestWithParam<int> {};

@@ -4,8 +4,7 @@
 //     high-water capacity, further rounds make NO operator new call, on the
 //     direct-send path, on the staged path at width 8, and on the batch
 //     delivery form at width 1;
-//   * a warm PartwiseAggregator allocates only its result, from either
-//     entry point;
+//   * a warm PartwiseAggregator allocates only its result;
 //   * error paths validate before any buffer write: a throwing stage_send
 //     leaves every staged and pending send as it was.
 //
@@ -221,43 +220,6 @@ void expect_warm_aggregation_allocates_only_its_result(int width) {
 TEST(RoundAllocations, WarmAggregationAllocatesOnlyItsResult) {
   expect_warm_aggregation_allocates_only_its_result(1);
   expect_warm_aggregation_allocates_only_its_result(4);
-}
-
-/// The same for aggregate_min_from_last: a warm call that floods (its
-/// values fell below what the last call left) allocates only its result.
-void expect_warm_from_last_allocates_only_its_result(int width) {
-  Graph g = gen::grid(40, 40).graph();
-  Rng rng(7);
-  Partition parts = voronoi_partition(g, 24, rng);
-  RootedTree tree = RootedTree::from_bfs(bfs(g, 0), 0);
-  Shortcut sc = ShortcutEngine::global()
-                    .build(g, tree, parts, greedy_certificate())
-                    .shortcut;
-  congest::PartwiseAggregator agg(g, parts, sc);
-  Simulator sim(g, congest::ExecutionPolicy{width});
-  // Three rounds of values, each lower than the last at every vertex.
-  std::vector<std::vector<AggValue>> calls(
-      3, std::vector<AggValue>(static_cast<std::size_t>(g.num_vertices())));
-  for (std::size_t c = 0; c < calls.size(); ++c)
-    for (VertexId v = 0; v < g.num_vertices(); ++v)
-      calls[c][static_cast<std::size_t>(v)] = AggValue{
-          (static_cast<std::int64_t>(v) * 2654435761LL) % 100003 -
-              1000 * static_cast<std::int64_t>(c),
-          v};
-  (void)agg.aggregate_min_from_last(sim, calls[0]);
-  (void)agg.aggregate_min_from_last(sim, calls[1]);
-
-  const std::size_t before = allocations();
-  const congest::AggregationResult third =
-      agg.aggregate_min_from_last(sim, calls[2]);
-  const std::size_t during = allocations() - before;
-  EXPECT_EQ(during, 1u) << "width " << width;
-  EXPECT_GT(third.rounds, 0);
-}
-
-TEST(RoundAllocations, WarmAggregationFromLastAllocatesOnlyItsResult) {
-  expect_warm_from_last_allocates_only_its_result(1);
-  expect_warm_from_last_allocates_only_its_result(4);
 }
 
 TEST(RoundAllocations, ThrowingStageSendStagesNothing) {

@@ -386,8 +386,8 @@ std::uint64_t answer_digest(const std::vector<congest::AggValue>& mins) {
 /// workload still wrote its own trace block, before one phase meter took
 /// over the run accounting (DESIGN.md §5). The two cliquesum sssp.approx
 /// rows' rounds, messages and wire and trace digests were re-recorded when
-/// cluster jumps began flooding from the last jump's state
-/// (aggregate_min_from_last); their answer digests did not move.
+/// cluster jumps began flooding only the members below their part's last
+/// minimum; their answer digests did not move.
 constexpr TrafficPin kTrafficPins[] = {
     {"planar", "mst", 236, 47681, 0x8e07885410131f72ULL,
      0x1805ddf9bcae40deULL, 5, 0x56b31ae38d04ed31ULL},
