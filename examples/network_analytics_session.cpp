@@ -82,7 +82,6 @@ int main() {
   //    cells, so every depot after the first hits the session cache.
   params.epsilon = 0.25;
   params.num_seeds = 8;
-  params.repartition_growth = 1.0;
   params.wavefront_seeds = false;
   for (VertexId depot : {0, 517, 1023}) {
     params.source = depot;

@@ -41,17 +41,18 @@ struct BellmanFordProgram {
   /// so sending dist[v] back cannot relax it. Any other write to dist[v]
   /// must reset it (approx_sssp's jump_relax).
   std::vector<EdgeId> via;
+  /// The estimate v last broadcast, kUnreachedWeight before its first send.
+  /// Never below dist[v]; approx_sssp's jump filter reads it.
+  std::vector<Weight> sent;
   // approx-only hooks; null for exact_sssp.
   long long* reached = nullptr;
   const Partition* const* parts = nullptr;  ///< current phase partition slot
   std::vector<char>* part_dirty = nullptr;
 
   long long budget = 0;  ///< rounds left in the current burst
-  bool improved = false;
   PerShard<std::vector<VertexId>> next;
   PerShard<long long> reached_delta;
   PerShard<std::vector<PartId>> woken_parts;
-  PerShard<char> improved_flag;
 
   BellmanFordProgram(Simulator& sim, const std::vector<Weight>& weights,
                      std::vector<Weight>& d, std::vector<char>& inf,
@@ -60,14 +61,10 @@ struct BellmanFordProgram {
         frontier_list(fl),
         via(static_cast<std::size_t>(sim.graph().num_vertices()),
             kInvalidEdge),
+        sent(static_cast<std::size_t>(sim.graph().num_vertices()),
+             kUnreachedWeight),
         next(sim.num_shards()),
-        reached_delta(sim.num_shards()), woken_parts(sim.num_shards()),
-        improved_flag(sim.num_shards()) {}
-
-  void start_burst(long long max_rounds) {
-    budget = max_rounds;
-    improved = false;
-  }
+        reached_delta(sim.num_shards()), woken_parts(sim.num_shards()) {}
 
   [[nodiscard]] std::span<const VertexId> frontier() const {
     // An exhausted budget hides (but keeps) the frontier: the next burst or
@@ -79,6 +76,7 @@ struct BellmanFordProgram {
   void send(VertexId v, VertexSender& out) {
     const std::size_t vi = static_cast<std::size_t>(v);
     in_frontier[vi] = 0;
+    sent[vi] = dist[vi];
     for (EdgeId e : g.incident_edges(v))
       if (e != via[vi]) out.send(e, Message{0, 0, dist[vi]});
   }
@@ -93,7 +91,6 @@ struct BellmanFordProgram {
         ++reached_delta[ctx.shard];
       dist[static_cast<std::size_t>(v)] = cand;
       via[static_cast<std::size_t>(v)] = d.edge;
-      improved_flag[ctx.shard] = 1;
       if (parts != nullptr && *parts != nullptr) {
         const PartId p = (*parts)->part_of(v);
         if (p != kNoPart) woken_parts[ctx.shard].push_back(p);
@@ -121,10 +118,6 @@ struct BellmanFordProgram {
       if (part_dirty != nullptr)
         for (PartId p : ids) (*part_dirty)[static_cast<std::size_t>(p)] = 1;
       ids.clear();
-    });
-    improved_flag.for_each([&](char& flag) {
-      improved = improved || flag != 0;
-      flag = 0;
     });
   }
 };
@@ -204,7 +197,7 @@ SsspPayload exact_sssp(const ExactSssp& q, PhaseMeter& meter) {
   std::vector<VertexId> frontier{source};
   in_frontier[source] = 1;
   BellmanFordProgram prog(sim, w, out.dist, in_frontier, frontier);
-  prog.start_burst(std::numeric_limits<long long>::max());
+  prog.budget = std::numeric_limits<long long>::max();
   (void)run_vertex_program(sim, prog);
   return out;
 }
@@ -262,24 +255,19 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
   std::vector<char> part_dirty;
   std::vector<AggValue> last_min;
 
-  // Bounded event-driven Bellman-Ford burst (the same program as
-  // exact_sssp, capped at `max_rounds`; reused across bursts).
+  // Bounded event-driven Bellman-Ford bursts (the same program as
+  // exact_sssp, capped at the loop's budget; reused across bursts).
   BellmanFordProgram burst(sim, w2, out.dist, in_frontier, frontier);
   burst.reached = &reached;
   burst.parts = &parts_raw;
   burst.part_dirty = &part_dirty;
-  auto bf_burst = [&](int max_rounds) {
-    burst.start_burst(max_rounds);
-    (void)run_vertex_program(sim, burst);
-    return burst.improved;
-  };
 
   // The jump-side relax (sequential, mark_part=false semantics); burst-side
   // relaxes live in BellmanFordProgram::receive with part marking on. The
   // new estimate came through the cell seed, not over v's last relaxing
   // edge, so v must send to every neighbour again.
   auto jump_relax = [&](VertexId v, Weight cand) {
-    if (cand >= out.dist[v]) return false;
+    if (cand >= out.dist[v]) return;
     if (out.dist[v] == kUnreachedWeight) ++reached;
     out.dist[v] = cand;
     burst.via[v] = kInvalidEdge;
@@ -287,7 +275,6 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
       in_frontier[v] = 1;
       frontier.push_back(v);
     }
-    return true;
   };
 
   // Per-phase partition state: weighted Voronoi cells seeded around the
@@ -400,7 +387,9 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
 
   auto need_repartition = [&] {
     if (!parts) return true;
-    if (fixed_cells != nullptr) return false;  // cells are pinned
+    // Pinned LDD cells never move, and source-independent stride cells
+    // would rebuild to the same cells, shortcut and aggregator.
+    if (fixed_cells != nullptr || !q.wavefront_seeds) return false;
     if (static_cast<double>(reached - reached_at_partition) >
         q.repartition_growth * static_cast<double>(n))
       return true;
@@ -412,13 +401,29 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
     return 2 * uncovered > static_cast<VertexId>(frontier.size());
   };
 
+  // Whether a neighbour u in v's cell last sent a value below x, v's own:
+  // v then cannot hold the cell minimum, since sent[u] >= dist[u]. v knows
+  // u's cell and cdist[u] from the cell growth, and sent[u] because u sent
+  // it to v, or because u's estimate came from v, which bounds it below
+  // by v's own.
+  auto beaten_in_cell = [&](VertexId v, PartId p, const AggValue& x) {
+    for (VertexId u : g.neighbors(v)) {
+      if (parts->part_of(u) != p || burst.sent[u] == kUnreachedWeight)
+        continue;
+      if (AggValue{burst.sent[u] + cdist[u], u} < x) return true;
+    }
+    return false;
+  };
+
   // One shortcut-backed jump: every DIRTY cell aggregates min(dist + cdist)
-  // and every member relaxes through the cell seed. All estimates remain
-  // real path lengths, so the exactness-at-quiescence argument is untouched.
-  // Returns the rounds the aggregation consumed (0 = nothing was dirty).
+  // and every member relaxes through the cell seed. Only the members below
+  // their part's last minimum that no cell neighbour beats seed the flood;
+  // the member holding the minimum always does, so every part's result is
+  // the unfiltered flood's. All estimates remain real path lengths, so the
+  // exactness-at-quiescence argument is untouched. Returns the rounds the
+  // aggregation consumed (0 = nothing was dirty).
   std::vector<AggValue> init(n);
-  auto cluster_jump = [&](bool* improved) {
-    *improved = false;
+  auto cluster_jump = [&] {
     bool any_dirty = false;
     std::fill(init.begin(), init.end(), kNoValue);
     for (VertexId v = 0; v < n; ++v) {
@@ -427,7 +432,9 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
       if (p == kNoPart || !part_dirty[static_cast<std::size_t>(p)]) continue;
       any_dirty = true;
       const AggValue x{out.dist[v] + cdist[v], v};
-      if (x < last_min[static_cast<std::size_t>(p)]) init[v] = x;
+      if (x < last_min[static_cast<std::size_t>(p)] &&
+          !beaten_in_cell(v, p, x))
+        init[v] = x;
     }
     if (!any_dirty) return 0LL;
     ++out.jumps;
@@ -438,26 +445,28 @@ SsspPayload approx_sssp(const ApproxSssp& q, const ShortcutSource& shortcuts,
       if (res.min_of_part[p] == kNoValue) continue;
       last_min[static_cast<std::size_t>(p)] = res.min_of_part[p];
       const Weight base = res.min_of_part[p].value;
-      for (VertexId u : parts->members(p))
-        *improved |= jump_relax(u, base + cdist[u]);
+      for (VertexId u : parts->members(p)) jump_relax(u, base + cdist[u]);
     }
     return res.rounds;
   };
 
   // Cycle: a Bellman-Ford burst, then a jump. The burst budget adapts to the
   // measured cost of the previous jump, so cheap shortcuts (small quality)
-  // mean frequent jumps while expensive ones amortize over longer bursts —
-  // the total can never exceed a small multiple of the plain-BF rounds.
+  // mean frequent jumps while expensive ones amortize over longer bursts.
+  // Nothing bounds the total by the plain-BF rounds: on perfbench's planar
+  // grids it measures 2.0-2.8x of them (ROADMAP item 2). A burst that
+  // empties the frontier has reached Bellman-Ford's fixed point, where
+  // every estimate is exact and no jump can lower one: the run ends there.
   int budget = kBfRoundsPerCycle;
   while (true) {
     if (need_repartition()) rebuild_partition();
-    const bool bf_improved = bf_burst(budget);
-    bool jump_improved = false;
-    const long long jump_rounds = cluster_jump(&jump_improved);
+    burst.budget = budget;
+    (void)run_vertex_program(sim, burst);
+    if (frontier.empty()) break;
+    const long long jump_rounds = cluster_jump();
     budget = std::max<int>(
         kBfRoundsPerCycle,
         static_cast<int>(std::min<long long>(jump_rounds, 1 << 20)));
-    if (!bf_improved && !jump_improved && frontier.empty()) break;
   }
   meter.close_phase("scale-phase");
   return out;

@@ -21,7 +21,8 @@
 //  2. Shortcut-accelerated cluster jumps: the graph is partitioned into
 //     weighted Voronoi cells seeded from the current wavefront (re-built per
 //     scale phase as the wavefront outgrows the old cells — the same
-//     repeated re-partition access pattern as Boruvka, but weight-driven),
+//     repeated re-partition access pattern as Boruvka, but weight-driven;
+//     source-independent stride cells are built once per run),
 //     and short Bellman-Ford bursts are interleaved with part-wise min
 //     aggregations over the source's shortcut: each cell aggregates
 //     min_v(dist[v] + cdist[v]) (cdist = intra-cell distance to the cell
@@ -32,7 +33,8 @@
 //     drop below the true distance. The run continues to global quiescence,
 //     i.e. to the exact fixed point under w' — the (1+eps) guarantee of the
 //     rounding therefore always holds; the jumps only change how many rounds
-//     it takes to get there.
+//     it takes to get there. Only cell minima seed a jump, and the run ends
+//     at the first burst that leaves the frontier empty.
 //
 // Round accounting (the DESIGN.md §2-§3 substitution discipline, as in
 // mincut): Bellman-Ford rounds and aggregation rounds are honestly

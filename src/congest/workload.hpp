@@ -61,8 +61,9 @@ struct ApproxSssp {
   /// Approximation slack: returned distances are within (1+epsilon) of true.
   double epsilon = 0.25;
   VertexId num_seeds = 0;  ///< Voronoi cells per phase; 0 = ceil(sqrt(n))
-  /// Re-partition once this fraction of vertices joined the wavefront since
-  /// the current partition was built (the scale-phase trigger).
+  /// Wavefront cells only: re-partition once this fraction of vertices
+  /// joined the wavefront since the current partition was built (the
+  /// scale-phase trigger). Stride and LDD cells are built once per run.
   double repartition_growth = 0.5;
   /// false = source-independent cells: identical partitions across a k-source
   /// batch, so the shared cache pays construction once (DESIGN.md §5, §10).

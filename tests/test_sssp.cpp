@@ -236,6 +236,46 @@ TEST(ApproxSssp, ExactWhenWeightsAlreadyOnLadder) {
     EXPECT_EQ(res.sssp().dist[v], ref.dist[v]) << "vertex " << v;
 }
 
+TEST(ApproxSssp, ConvergedBurstEndsTheRun) {
+  // Bellman-Ford settles a 6-vertex path from one end inside the first
+  // burst. Its fixed point is exact, so no jump could lower an estimate:
+  // the run ends there and costs what exact Bellman-Ford costs under the
+  // rounded weights.
+  Rng rng(7);
+  Graph g = gen::path(6);
+  congest::ApproxSssp query{gen::random_weights(g, 1, 9, rng), 0};
+  query.epsilon = 0.25;
+  Session approx = greedy_session(g);
+  RunReport res = approx.solve(query);
+  Session exact = greedy_session(g);
+  RunReport ref = exact.solve(congest::ExactSssp{
+      congest::round_weights(query.weights, query.epsilon), query.source});
+  EXPECT_EQ(res.sssp().jumps, 0);
+  EXPECT_EQ(res.aggregations, 0);
+  EXPECT_EQ(res.rounds, ref.rounds);
+  EXPECT_EQ(res.messages, ref.messages);
+  EXPECT_EQ(res.sssp().dist, ref.sssp().dist);
+}
+
+TEST(ApproxSssp, SourceIndependentCellsAreBuiltOnce) {
+  // Stride cells do not depend on the wavefront, so a rebuild would
+  // recompute the same cells and look up the same shortcut: one scale
+  // phase and one cache lookup, where the wavefront's growth past
+  // repartition_growth would otherwise open a second.
+  Rng rng(61);
+  Graph g = gen::grid(16, 16).graph();
+  congest::ApproxSssp query{gen::unique_random_weights(g, rng), 0};
+  query.wavefront_seeds = false;
+  Session s = greedy_session(g);
+  RunReport res = s.solve(query);
+  EXPECT_EQ(res.phases, 1);
+  EXPECT_EQ(res.cache_hits + res.cache_misses, 1);
+  EXPECT_EQ(res.sssp().dist,
+            dijkstra(g, congest::round_weights(query.weights, query.epsilon),
+                     query.source)
+                .dist);
+}
+
 struct FixedPointCase {
   const char* family;
   Graph g;

@@ -33,6 +33,7 @@
 #include "gen/ktree.hpp"
 #include "gen/planar.hpp"
 #include "gen/weights.hpp"
+#include "graph/algorithms.hpp"
 #include "io/report_json.hpp"
 #include "serve/query_server.hpp"
 #include "transport/loopback.hpp"
@@ -56,15 +57,17 @@ struct FamilyCase {
   StructuralCertificate cert;
 };
 
-// One instance per certificate family, sized so mst and sssp.approx both
-// run several shortcut-backed phases without making the fault-injection
-// matrix slow.
+// One instance per certificate family, sized so mst runs several
+// shortcut-backed phases and sssp.approx (from params_for's source) outlasts
+// its first Bellman-Ford burst and jumps, without making the
+// fault-injection matrix slow. A run that converges inside the first burst
+// ends there, too short for the seeded adversary to fire on every rank.
 std::vector<FamilyCase> transport_families() {
   std::vector<FamilyCase> out;
   Rng rng(41);
   out.push_back({"grid", gen::grid(7, 7).graph(), greedy_certificate()});
   {
-    gen::KTreeResult kt = gen::random_ktree(60, 3, rng);
+    gen::KTreeResult kt = gen::random_ktree(200, 3, rng);
     out.push_back(
         {"ktree3", kt.graph, treewidth_certificate(kt.decomposition)});
   }
@@ -75,7 +78,7 @@ std::vector<FamilyCase> transport_families() {
   {
     Graph bag = gen::triangulated_grid(3, 3).graph();
     std::vector<gen::BagInput> inputs;
-    for (int i = 0; i < 3; ++i)
+    for (int i = 0; i < 10; ++i)
       inputs.push_back({bag, gen::default_glue_cliques(bag, 2)});
     gen::CliqueSumResult cs = gen::compose_clique_sum(inputs, 2, 0.0, rng);
     out.push_back(
@@ -84,9 +87,14 @@ std::vector<FamilyCase> transport_families() {
   return out;
 }
 
+/// Random weights, and an SSSP source as many hops from vertex 0 as any
+/// vertex is: a far source keeps sssp.approx's Bellman-Ford going.
 WorkloadParams params_for(const Graph& g, Rng& wrng) {
   WorkloadParams p;
   p.weights = gen::unique_random_weights(g, wrng);
+  const std::vector<int> hops = bfs(g, 0).dist;
+  p.source = static_cast<VertexId>(
+      std::max_element(hops.begin(), hops.end()) - hops.begin());
   return p;
 }
 
@@ -242,6 +250,10 @@ TEST(TransportFaults, SeededDropDupReorderConvergesToIdenticalReports) {
     for (const char* workload : {"mst", "sssp.approx"}) {
       SCOPED_TRACE(workload);
       RunReport ref = reference_solve(fam, workload, params);
+      // The faulted sssp.approx leg covers cluster jumps.
+      if (ref.workload == "sssp.approx") {
+        EXPECT_GE(ref.sssp().jumps, 1);
+      }
       std::vector<TransportStats> stats;
       std::vector<RunReport> reports =
           distributed_solve(fam, workload, params, 2, faults, &stats);

@@ -387,16 +387,20 @@ std::uint64_t answer_digest(const std::vector<congest::AggValue>& mins) {
 /// over the run accounting (DESIGN.md §5). The two cliquesum sssp.approx
 /// rows' rounds, messages and wire and trace digests were re-recorded when
 /// cluster jumps began flooding only the members below their part's last
-/// minimum; their answer digests did not move.
+/// minimum; their answer digests did not move. All eight sssp.approx rows'
+/// rounds, messages and wire and trace digests were re-recorded again when
+/// only cell minima began seeding a jump, a converged burst began ending
+/// the run and stride cells began being built once per run (so the stride
+/// rows trace one phase, not two); their answer digests did not move.
 constexpr TrafficPin kTrafficPins[] = {
     {"planar", "mst", 236, 47681, 0x8e07885410131f72ULL,
      0x1805ddf9bcae40deULL, 5, 0x56b31ae38d04ed31ULL},
     {"planar", "mincut4", 837, 215093, 0x1245967583be44d3ULL,
      0xaefe42a14956d73ULL, 4, 0x37563c29ad546a8dULL},
-    {"planar", "sssp.wavefront", 84, 15540, 0x6cc7c6142e6b26dbULL,
-     0x4120ca4ad42c0a68ULL, 2, 0x61ea09427bb56a7bULL},
-    {"planar", "sssp.stride", 90, 21026, 0xbe08a9e86514ad8cULL,
-     0x4120ca4ad42c0a68ULL, 2, 0xbe05f449ff877ee8ULL},
+    {"planar", "sssp.wavefront", 55, 4933, 0x586d925903ead029ULL,
+     0x4120ca4ad42c0a68ULL, 2, 0x9d218d115e1832feULL},
+    {"planar", "sssp.stride", 55, 5483, 0x3c0ffb74049d3d07ULL,
+     0x4120ca4ad42c0a68ULL, 1, 0x25ae25ec29ae7434ULL},
     {"planar", "mst.ldd", 773, 146491, 0xb5730984a42594f4ULL,
      0x1805ddf9bcae40deULL, 5, 0x504e9df6df35e34aULL},
     {"planar", "mis", 6, 2803, 0xa9750ecc7a5685c5ULL,
@@ -409,10 +413,10 @@ constexpr TrafficPin kTrafficPins[] = {
      0x7bc0431cbe649a3aULL, 3, 0x2d838859b19371c9ULL},
     {"treewidth", "mincut4", 103, 84473, 0xdf893ecac864bbc6ULL,
      0x9f2dfd952aecfacULL, 4, 0xad029f0724cdc3e3ULL},
-    {"treewidth", "sssp.wavefront", 26, 14034, 0xbf344d9aac4e2962ULL,
-     0xcdd99dbe4a6b7cb5ULL, 2, 0xce4c1b7dd8333f94ULL},
-    {"treewidth", "sssp.stride", 26, 13596, 0x4571caa9601ebd4aULL,
-     0xcdd99dbe4a6b7cb5ULL, 2, 0x36aed3f0b2c435c8ULL},
+    {"treewidth", "sssp.wavefront", 16, 6440, 0x653c73b0f6e3de38ULL,
+     0xcdd99dbe4a6b7cb5ULL, 2, 0x6016e3262de4f4bULL},
+    {"treewidth", "sssp.stride", 17, 6543, 0x6a1e58fcf2891cdfULL,
+     0xcdd99dbe4a6b7cb5ULL, 1, 0x4539b7dd2acc0e9ULL},
     {"treewidth", "mst.ldd", 199, 76562, 0x2a4d61e207093051ULL,
      0x7bc0431cbe649a3aULL, 3, 0xfaefd2d96441f954ULL},
     {"treewidth", "mis", 6, 4437, 0x44251331878ee7c5ULL,
@@ -425,10 +429,10 @@ constexpr TrafficPin kTrafficPins[] = {
      0x32eeabca92f31537ULL, 4, 0xa553173b29adc9abULL},
     {"apex", "mincut4", 230, 91996, 0xc64455ed86fe46e1ULL,
      0x667f59a01023f54aULL, 4, 0xcb5cbb24f3f78a7fULL},
-    {"apex", "sssp.wavefront", 32, 8810, 0x4a72e722392f76abULL,
-     0xa5c3d8aa44fd47f5ULL, 2, 0x208396c61a1be363ULL},
-    {"apex", "sssp.stride", 36, 10377, 0x8e5bed558512df08ULL,
-     0xa5c3d8aa44fd47f5ULL, 2, 0x9d68aca4896d18cdULL},
+    {"apex", "sssp.wavefront", 22, 2674, 0x73f1875170cb0d36ULL,
+     0xa5c3d8aa44fd47f5ULL, 2, 0x25270b24c1bb93c2ULL},
+    {"apex", "sssp.stride", 24, 3184, 0xb449709077dc824dULL,
+     0xa5c3d8aa44fd47f5ULL, 1, 0x5970608ceaf9cb81ULL},
     {"apex", "mst.ldd", 586, 193618, 0x5e7eb1f367f2736fULL,
      0x32eeabca92f31537ULL, 4, 0xa78c48c98e03a16fULL},
     {"apex", "mis", 6, 2447, 0xaaf6d159cbaf109eULL,
@@ -441,10 +445,10 @@ constexpr TrafficPin kTrafficPins[] = {
      0x9fe5409e7e07b784ULL, 5, 0x16fdc53f8294b9f0ULL},
     {"cliquesum", "mincut4", 645, 189950, 0x480da2afa3fc2d91ULL,
      0xcc22b3e354e40549ULL, 4, 0xdc48b71ca3dda21fULL},
-    {"cliquesum", "sssp.wavefront", 81, 20621, 0xcfcc248f3bec187eULL,
-     0xada74947c21dba81ULL, 2, 0xe6c044c88d0268cdULL},
-    {"cliquesum", "sssp.stride", 78, 23791, 0x8ef28f232b1df43bULL,
-     0xada74947c21dba81ULL, 2, 0x73ba3faa0773b95bULL},
+    {"cliquesum", "sssp.wavefront", 63, 10641, 0xb80bfd4840bbd912ULL,
+     0xada74947c21dba81ULL, 2, 0x81d7ea49e2b7a846ULL},
+    {"cliquesum", "sssp.stride", 67, 12315, 0xefced425969908acULL,
+     0xada74947c21dba81ULL, 1, 0x34b97aca1fd02eb6ULL},
     {"cliquesum", "mst.ldd", 567, 140521, 0x81d458fe8d0cc280ULL,
      0x9fe5409e7e07b784ULL, 5, 0xc979280e4ad08afULL},
     {"cliquesum", "mis", 6, 4069, 0xbcdd6f9e694a7910ULL,
